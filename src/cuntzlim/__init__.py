@@ -5,7 +5,6 @@ from .algebra import (
     AlgebraError,
     AlgebraTag,
     Element,
-    Monomial,
     O,
     O_INF,
     equals,
@@ -83,4 +82,4 @@ from .gauge import (
 )
 from .parser import ParseError, parse, render
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -2,13 +2,20 @@
 of the Cuntz algebras O_n (n generators, n >= 2) and O_inf.
 
 An element is a finite linear combination of reduced monomials s_J s_K*
-with Gaussian-rational coefficients.  All operations are pure; elements are
-immutable by convention (term tables are never mutated after construction).
+with Gaussian-rational coefficients, kept in one canonical form.  For O_n it
+is the Leavitt basis of L(1, n): the monomials whose words J and K do not
+both end in the letter n (Alahmedi-Alsulami-Jain-Zelmanov, J. Algebra Appl.
+11 (2012); Abrams-Ara-Siles Molina, Leavitt Path Algebras, LNM 2191).  For
+O_inf the reduced monomials themselves are linearly independent.  Equal
+elements therefore have equal term tables, so `equals`, `==` and `hash`
+agree.  All operations are pure; elements are immutable by convention (term
+tables are never mutated after construction).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .scalars import GaussianRational, ONE, Rationalish
 
@@ -57,59 +64,46 @@ def O(n: int) -> AlgebraTag:
     return AlgebraTag(n)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Reduced monomial s_J s_K*; (EPS, EPS) is the unit."""
-
-    left: Word
-    right: Word
-
-    @property
-    def grade(self) -> int:
-        return len(self.left) - len(self.right)
-
-    @property
-    def depth(self) -> int:
-        return len(self.left) + len(self.right)
-
-
 Key = Tuple[Word, Word]  # internal dict key (left, right)
 
 
 class Element:
-    """Linear combination of monomials over a fixed algebra tag.
+    """Linear combination of basis monomials over a fixed algebra tag.
 
-    The term table never stores zero coefficients.  Public operations
-    return fully collapsed (normalized) elements.
+    The constructor is the one place where like terms combine and the
+    canonical form is reached (see normalize); the term table never stores
+    zero coefficients.
     """
 
     __slots__ = ("tag", "terms")
 
-    def __init__(self, tag: AlgebraTag, terms: Mapping[Key, GaussianRational] = ()):
-        combined: Dict[Key, GaussianRational] = {}
-        for (left, right), c in dict(terms).items():
-            tag.check_word(left)
-            tag.check_word(right)
-            c = GaussianRational.of(c)
-            if (left, right) in combined:
-                c = combined[left, right] + c
-            if c.is_zero():
-                combined.pop((left, right), None)
+    def __init__(
+        self,
+        tag: AlgebraTag,
+        terms: Union[Mapping[Key, Rationalish], Iterable[Tuple[Key, Rationalish]]] = (),
+    ):
+        """`terms` maps (left, right) word pairs to coefficients, or is an
+        iterable of ((left, right), coefficient) pairs in which a pair may
+        repeat."""
+        table = {}
+        for key, c in terms.items() if hasattr(terms, "items") else terms:
+            s = table.get(key)
+            if s is None:
+                tag.check_word(key[0])
+                tag.check_word(key[1])
+                s = GaussianRational.of(c)
             else:
-                combined[left, right] = c
+                s = s + c
+            if s.is_zero():
+                table.pop(key, None)
+            else:
+                table[key] = s
         self.tag = tag
-        self.terms = combined
-
-    def monomials(self) -> Iterable[Monomial]:
-        return (Monomial(l, r) for (l, r) in self.terms)
+        self.terms = table
+        normalize(self)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, left: Word, right: Word) -> GaussianRational:
-        from .scalars import ZERO
-
-        return self.terms.get((tuple(left), tuple(right)), ZERO)
 
     # -- convenience operators (all delegate to module functions) --
     def __add__(self, other: "Element") -> "Element":
@@ -131,7 +125,8 @@ class Element:
         return adjoint(self)
 
     def __eq__(self, other) -> bool:
-        # structural table equality; use equals() for the algebra oracle
+        # tables are canonical, so this is equality in the algebra; equals()
+        # is the same test but rejects elements of different algebras
         return (
             isinstance(other, Element)
             and self.tag == other.tag
@@ -181,102 +176,62 @@ def _mul_key(a: Key, b: Key) -> Optional[Key]:
 
 def multiply(a: Element, b: Element) -> Element:
     _check_tags(a, b)
-    acc: Dict[Key, GaussianRational] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            key = _mul_key(ka, kb)
-            if key is None:
-                continue
-            c = ca * cb
-            if key in acc:
-                c = acc[key] + c
-            if c.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-    return normalize(Element(a.tag, acc))
+    return Element(a.tag, (
+        (key, ca * cb)
+        for ka, ca in a.terms.items()
+        for kb, cb in b.terms.items()
+        if (key := _mul_key(ka, kb)) is not None
+    ))
 
 
 def adjoint(e: Element) -> Element:
-    return normalize(
-        Element(e.tag, {(r, l): c.conjugate() for (l, r), c in e.terms.items()})
-    )
+    return Element(e.tag, (((r, l), c.conjugate()) for (l, r), c in e.terms.items()))
 
 
 def add(a: Element, b: Element) -> Element:
     _check_tags(a, b)
-    acc = dict(a.terms)
-    for key, c in b.terms.items():
-        s = acc.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-    return normalize(Element(a.tag, acc))
+    return Element(a.tag, chain(a.terms.items(), b.terms.items()))
 
 
 def scale(c: Rationalish, e: Element) -> Element:
     c = GaussianRational.of(c)
-    if c.is_zero():
-        return zero(e.tag)
-    return normalize(Element(e.tag, {k: c * v for k, v in e.terms.items()}))
-
-
-def _collapse_once(terms: Dict[Key, GaussianRational], base: Key, n: int) -> None:
-    """Extract the common summand of the full sibling set over `base` in place.
-
-    The extracted coefficient is the minimum under the scalar sort key, which
-    zeroes at least one sibling; uniqueness of the collapsed form relies on
-    processing deeper sets first (see normalize).
-    """
-    j, k = base
-    sibs = [(j + (i,), k + (i,)) for i in range(1, n + 1)]
-    coeffs = [terms.get(s) for s in sibs]
-    if any(c is None for c in coeffs):
-        return
-    c = min(coeffs, key=GaussianRational.sort_key)
-    for s, cs in zip(sibs, coeffs):
-        rest = cs - c
-        if rest.is_zero():
-            del terms[s]
-        else:
-            terms[s] = rest
-    tot = terms.get(base)
-    tot = c if tot is None else tot + c
-    if tot.is_zero():
-        terms.pop(base, None)
-    else:
-        terms[base] = tot
+    return Element(e.tag, ((k, c * v) for k, v in e.terms.items()))
 
 
 def normalize(e: Element) -> Element:
-    """Unique fully collapsed form.
+    """Rewrite the table of e into the Leavitt basis, in place; returns e.
 
-    Like terms are already combined on construction.  For finite tags, full
-    sibling sets {(J.i, K.i) : i=1..n} are collapsed onto (J, K), sweeping
-    from the deepest monomials upward so that contributions flowing to
-    shorter words are seen before their own sibling sets are inspected.
-    O_inf has no completeness relation, so only combination applies.
+    For O_n every monomial whose words both end in the letter n is replaced
+    by way of the completeness relation,
+    s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}*.
+    Only s_J s_K* can need a further rewrite and it is shorter, so the loop
+    ends; by the basis theorem the result does not depend on the order of
+    the rewrites.  O_inf has no completeness relation and no rewrite.
+    Element() runs this on every table it builds, so it changes no existing
+    element.
     """
     n = e.tag.ngens
-    if n is None or not e.terms:
+    if n is None:
         return e
-    terms = dict(e.terms)
-    depth = max(len(l) + len(r) for (l, r) in terms)
-    while depth >= 2:
-        bases = {
-            (l[:-1], r[:-1])
-            for (l, r) in terms
-            if len(l) + len(r) == depth and l and r and l[-1] == r[-1]
-        }
-        for base in sorted(bases):
-            _collapse_once(terms, base, n)
-        depth -= 1
-    out = Element.__new__(Element)
-    out.tag = e.tag
-    out.terms = terms
-    return out
+    terms = e.terms
+    todo = [(l, r) for (l, r) in terms if l[-1:] == r[-1:] == (n,)]
+    while todo:
+        l, r = todo.pop()
+        c = terms.pop((l, r), None)
+        if c is None:
+            continue
+        j, k = l[:-1], r[:-1]
+        moves = [((j, k), c)] + [((j + (i,), k + (i,)), -c) for i in range(1, n)]
+        for key, d in moves:
+            s = terms.get(key)
+            s = d if s is None else s + d
+            if s.is_zero():
+                del terms[key]
+            else:
+                terms[key] = s
+        if j[-1:] == k[-1:] == (n,):
+            todo.append((j, k))
+    return e
 
 
 def grade_components(e: Element) -> Dict[int, Element]:
@@ -287,41 +242,8 @@ def grade_components(e: Element) -> Dict[int, Element]:
     return {g: Element(e.tag, t) for g, t in sorted(buckets.items())}
 
 
-def _expand_table(terms: Mapping[Key, GaussianRational], n: int) -> Dict[Key, GaussianRational]:
-    """Expand every monomial of a single-grade table to the maximal right
-    length via s_J s_K* = sum_{|L|=d} s_JL s_KL*; the expanded monomials are
-    linearly independent, so the table is zero iff all entries cancel."""
-    if not terms:
-        return {}
-    m = max(len(r) for (_, r) in terms)
-    acc: Dict[Key, GaussianRational] = {}
-    for (l, r), c in terms.items():
-        d = m - len(r)
-        stack = [EPS]
-        for _ in range(d):
-            stack = [w + (i,) for w in stack for i in range(1, n + 1)]
-        for w in stack:
-            key = (l + w, r + w)
-            s = acc.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-    return acc
-
-
 def equals(a: Element, b: Element) -> bool:
-    """Exact equality oracle: a - b is split by grade and each grade is
-    expanded to a common right length before coefficient comparison."""
+    """Exact equality in the algebra: both tables are in the canonical
+    basis, so the elements are equal iff their tables are."""
     _check_tags(a, b)
-    diff = a - b
-    if diff.is_zero():
-        return True
-    n = a.tag.ngens
-    if n is None:
-        return False  # reduced monomials are independent in O_inf
-    for comp in grade_components(diff).values():
-        if _expand_table(comp.terms, n):
-            return False
-    return True
+    return a.terms == b.terms

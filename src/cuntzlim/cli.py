@@ -13,14 +13,12 @@ from typing import List, Optional
 
 from .algebra import AlgebraTag, O, O_INF, equals, mono, unit
 from .gauge import uhf_chain_check
-from .homs import GenHom, HomError, apply, compose, f, f_inf, q, make_hom
+from .homs import GenHom, HomError, apply, compose, f, f_inf, q
 from .limits import (
     CoherentFamily,
     check_coherent,
-    decompose_element,
-    decompose_word,
+    classify_monomial,
     in_L,
-    in_L_inf,
     is_q_inf_shape,
     is_v_shape,
     is_vstar_shape,
@@ -102,8 +100,14 @@ def verify_inverse_system(max_l: int, corrupt: bool = False) -> None:
                         )
 
 
-def verify_psi(chain: Chain, expr: "Element") -> None:
+def verify_psi(chain: Chain, expr: "Element", corrupt: bool = False) -> None:
     fam = psi(chain, expr)
+    if corrupt:
+        if len(chain) < 2:
+            raise ValueError("--corrupt needs a chain of at least two elements")
+        entries = list(fam.entries)
+        entries[0] = entries[0] + unit(entries[0].tag)
+        fam = CoherentFamily(chain, tuple(entries))
     if not check_coherent(fam):
         raise Refuted(
             "psi image violates coherence on chain %s for %s"
@@ -113,7 +117,14 @@ def verify_psi(chain: Chain, expr: "Element") -> None:
 
 def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     """Every monomial over L_n words of bounded length splits into parts that
-    sum back and satisfy disjoint shape predicates."""
+    sum back and satisfy disjoint shape predicates.  Monomials are classified
+    from their raw words: the canonical form of x 2^(an) (y 2^(bn))* with
+    a, b >= 1 is already split, so decomposing it would never reach the
+    mixed branch of classify_monomial.  Every monomial classify_monomial
+    writes has a word that is empty or ends in 1, so its tables are checked
+    as built."""
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     tag = O(2)
     words = [()] + [
         w
@@ -124,7 +135,7 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     for l in words:
         for r in words:
             e = mono(tag, l, r)
-            qp, vp, vsp = decompose_element(n, e)
+            qp, vp, vsp = classify_monomial(n, l, r)
             if corrupt:
                 vp = vp + unit(tag)
             if not equals(qp + vp + vsp, e):
@@ -281,7 +292,7 @@ def _cmd_verify(args) -> int:
         elif args.what == "psi":
             chain = Chain(tuple(_ints(args.chain)))
             expr = parse(O_INF, args.expr)
-            verify_psi(chain, expr)
+            verify_psi(chain, expr, corrupt=args.corrupt)
             print("psi image coherent on chain %s" % _ints(args.chain))
         elif args.what == "decomposition":
             verify_decomposition(args.n, args.max_len, corrupt=args.corrupt)
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="canonical collapsed form of an expression")
+    p = sub.add_parser("normalize", help="canonical (Leavitt-basis) form of an expression")
     p.add_argument("--algebra", type=_tag, required=True)
     p.add_argument("expr")
     p.set_defaults(func=_cmd_normalize)

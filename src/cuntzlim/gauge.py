@@ -3,11 +3,11 @@ the generator-doubling chain whose limit is uniformly hyperfinite."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraError, AlgebraTag, Element, O, Word
-from .homs import GenHom, apply, compose, make_hom, q, rn, validate_prefix_code
+from .algebra import AlgebraError, Element, Word
+from .homs import GenHom, apply, compose, q, rn, validate_prefix_code
 
 
 def is_gauge_invariant(e: Element) -> bool:
@@ -74,13 +74,6 @@ def uhf_graded_vanishing(r: int, n: int, l: int, max_len: int) -> bool:
     when 2^(n-1) does not divide l (enumeration verdict over lengths only:
     grades depend only on |J| and |K|)."""
     block = 2 ** (n - 1)
-    if l % block == 0:
-        # a witness of grade l exists whenever lengths fit the cap
-        for a in range(0, max_len + 1, block):
-            b = a - l
-            if 0 <= b <= max_len and b % block == 0:
-                return False
-        return True
     for a in range(0, max_len + 1, block):
         b = a - l
         if 0 <= b <= max_len and b % block == 0:

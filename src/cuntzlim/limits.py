@@ -5,20 +5,18 @@ monomial that is not supported on the first generator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebra import (
     AlgebraError,
-    AlgebraTag,
     Element,
     O,
     Word,
     add,
     equals,
-    mono,
     zero,
 )
-from .homs import GenHom, apply, f, f_inf
+from .homs import apply, f, f_inf
 from .poset import Chain
 from .scalars import GaussianRational, ZERO
 

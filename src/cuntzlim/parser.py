@@ -16,8 +16,8 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from .algebra import AlgebraTag, Element, adjoint, add, multiply, scale, unit, zero, mono
-from .scalars import GaussianRational, IMAG, ONE
+from .algebra import AlgebraTag, Element, adjoint, add, multiply, scale, unit, mono
+from .scalars import GaussianRational, IMAG
 
 
 class ParseError(ValueError):
@@ -48,13 +48,14 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tag: AlgebraTag, tokens):
+    def __init__(self, tag: AlgebraTag, tokens, end: int):
         self.tag = tag
         self.tokens = tokens
+        self.end = end  # position reported for the end of input
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def take(self):
         tok = self.peek()
@@ -112,13 +113,15 @@ class _Parser:
                 raise ParseError("expected ')'", self.peek()[2])
             self.take()
             return e
+        if kind is None:
+            raise ParseError("unexpected end of input", pos)
         raise ParseError("unexpected token %r" % (val,), pos)
 
 
 def parse(tag: AlgebraTag, text: str) -> Element:
     if not text.strip():
         raise ParseError("empty expression", 0)
-    p = _Parser(tag, _tokenize(text))
+    p = _Parser(tag, _tokenize(text), len(text))
     e = p.expr()
     if p.i != len(p.tokens):
         raise ParseError("trailing input %r" % (p.peek()[1],), p.peek()[2])

@@ -4,8 +4,8 @@ K0 does not commute with the inverse limit at desk scale."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple, Union
 
 from .algebra import AlgebraTag
 from .homs import GenHom, HomError

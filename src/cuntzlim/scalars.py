@@ -62,10 +62,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def sort_key(self):
-        """Total order used to pick the canonical collapse summand."""
-        return (self.re, self.im)
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

@@ -28,6 +28,22 @@ def random_element(rng: random.Random, tag, max_terms=4, max_len=3) -> Element:
     return e
 
 
+def random_table(rng: random.Random, tag, max_terms=6, max_len=3) -> dict:
+    """Raw term table over a finite tag, not in canonical form, with a full
+    sibling set {(J.i, K.i)} mixed in half of the time so that rewrites
+    cascade."""
+    n = tag.ngens
+    table = {}
+    for _ in range(rng.randint(0, max_terms)):
+        key = (random_word(rng, n, max_len), random_word(rng, n, max_len))
+        table[key] = random_scalar(rng)
+    if rng.random() < 0.5:
+        l, r = random_word(rng, n, max_len - 1), random_word(rng, n, max_len - 1)
+        for i in range(1, n + 1):
+            table[l + (i,), r + (i,)] = random_scalar(rng)
+    return table
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)

@@ -43,11 +43,11 @@ from cuntzlim import (
 )
 from cuntzlim.cli import verify_decomposition, verify_inverse_system
 from cuntzlim.limits import decompose_word, is_q_inf_shape, is_v_shape, is_vstar_shape
-from cuntzlim.algebra import adjoint, multiply
+from cuntzlim.algebra import Element, adjoint, multiply
 
-from conftest import random_element, random_scalar, random_word
+from conftest import random_element, random_table
+from oracle import expansion_equal, shuffled_leavitt
 from test_limits import brute_in_L
-from test_properties import randomized_normalize
 
 O2 = O(2)
 RNG_SEED = 20260826
@@ -289,8 +289,12 @@ def test_criterion_13_core_property_suites():
     tags = [O(2), O(3), O(4)]
     ok = True
     for _ in range(1000):
-        e = random_element(rng, rng.choice(tags), max_terms=5, max_len=3)
-        if randomized_normalize(e, rng).terms != e.terms:
+        tag = rng.choice(tags)
+        raw = random_table(rng, tag, max_terms=5, max_len=3)
+        canon = Element(tag, raw).terms
+        if shuffled_leavitt(raw, tag.ngens, rng) != canon:
+            ok = False
+        if not expansion_equal(raw, canon, tag.ngens):
             ok = False
     for _ in range(1000):
         tag = rng.choice(tags + [O_INF])

@@ -1,7 +1,9 @@
 import pytest
 
 from cuntzlim import (
+    ONE,
     AlgebraError,
+    Element,
     O,
     O_INF,
     equals,
@@ -13,6 +15,8 @@ from cuntzlim import (
     zero,
 )
 from cuntzlim.algebra import adjoint, multiply
+
+from oracle import expansion_equal
 
 
 O2 = O(2)
@@ -104,14 +108,19 @@ def test_equality_oracle_agrees_across_grades():
 
 
 def test_equality_oracle_expansion_path():
-    # identity written at depth 2 on one side, depth 0 on the other
-    lhs = zero(O2)
-    for i in (1, 2):
-        for j in (1, 2):
-            lhs = lhs + mono(O2, (i, j), (i, j))
-    # defeat the collapse fast path by splitting through a product
-    lhs = lhs * (unit(O2) + gen(O2, 1)) - unit(O2) * gen(O2, 1)
+    # identity written at depth 2 on one side, depth 0 on the other; the
+    # expansion oracle sees it on the raw tables, equals on canonical ones
+    raw = {((i, j), (i, j)): ONE for i in (1, 2) for j in (1, 2)}
+    assert expansion_equal(raw, unit(O2).terms, 2)
+    lhs = Element(O2, raw) * (unit(O2) + gen(O2, 1)) - unit(O2) * gen(O2, 1)
     assert equals(lhs, unit(O2))
+
+
+def test_equal_elements_have_equal_tables_and_hashes():
+    a = unit(O2) - mono(O2, (1,), (1,))
+    b = mono(O2, (2,), (2,))
+    assert equals(a, b) and a == b and hash(a) == hash(b)
+    assert a.terms == {((1,), (1,)): -ONE, ((), ()): ONE}
 
 
 def test_grade_components_partition():

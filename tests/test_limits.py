@@ -143,6 +143,15 @@ def test_decompose_element_sums_back_and_shapes():
                 assert is_vstar_shape(2, wl, wr)
 
 
+def test_decompose_element_after_sibling_rewrite():
+    # s21 s21' + s22 s22' = s2 s2' = I - s1 s1': canonical words stay in L_2
+    e = mono(O2, (2, 1), (2, 1)) + mono(O2, (2, 2), (2, 2))
+    qp, vp, vs = decompose_element(2, e)
+    assert qp + vp + vs == e
+    assert vp.is_zero() and vs.is_zero()
+    assert all(is_q_inf_shape(wl, wr) for (wl, wr) in qp.terms)
+
+
 def test_coherent_family_checks():
     ch = Chain((1, 2, 4))
     x = mono(O_INF, (2,), (5,))

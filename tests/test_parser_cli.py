@@ -44,6 +44,9 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse(O2, "s3")  # out of range for O2
     parse(O_INF, "s3000")  # fine in O_inf
+    with pytest.raises(ParseError, match="end of input") as exc:
+        parse(O2, "s1 +")
+    assert exc.value.pos == 4
 
 
 def test_render_parse_round_trip(rng):
@@ -110,6 +113,8 @@ def test_cli_verify_corrupt_refutes():
     assert rc == 1 and "REFUTED" in out
     rc, out = run("verify", "decomposition", "--n", "2", "--max-len", "2", "--corrupt")
     assert rc == 1 and "REFUTED" in out
+    rc, out = run("verify", "psi", "--chain", "1,2,4", "--expr", "s3 s1'", "--corrupt")
+    assert rc == 1 and "REFUTED" in out
 
 
 def test_cli_poset_graph(tmp_path):
@@ -133,8 +138,12 @@ def test_cli_partition():
     assert all(len(l) == len(lines[0]) for l in lines)
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     assert main(["normalize", "--algebra", "O2", "s1 +"]) == 2
+    for n in ("0", "-1"):
+        assert main(["verify", "decomposition", "--n", n]) == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+    assert main(["verify", "psi", "--chain", "2", "--expr", "s1", "--corrupt"]) == 2
     assert main(["normalize", "--algebra", "O2", "s9"]) == 2
     assert main(["hom", "apply", "--family", "f", "--args", "2,3", "s1"]) == 2
 

@@ -1,5 +1,4 @@
 """Randomized property suites for the core calculus."""
-import random
 
 from fractions import Fraction
 
@@ -16,39 +15,23 @@ from cuntzlim import (
     unit,
     zero,
 )
-from cuntzlim.algebra import Element, _collapse_once, adjoint, multiply
+from cuntzlim.algebra import Element, adjoint, multiply
 
-from conftest import random_element, random_scalar, random_word
+from conftest import random_element, random_scalar, random_table, random_word
+from oracle import expansion_equal, shuffled_leavitt
 
 TAGS = [O(2), O(3), O(4), O_INF]
 
 
-def randomized_normalize(e: Element, rng: random.Random) -> Element:
-    """Normalization with the within-level collapse order shuffled; the
-    deepest-first level discipline is the only order constraint."""
-    n = e.tag.ngens
-    if n is None or not e.terms:
-        return e
-    terms = dict(e.terms)
-    depth = max(len(l) + len(r) for (l, r) in terms)
-    while depth >= 2:
-        bases = list({
-            (l[:-1], r[:-1])
-            for (l, r) in terms
-            if len(l) + len(r) == depth and l and r and l[-1] == r[-1]
-        })
-        rng.shuffle(bases)
-        for base in bases:
-            _collapse_once(terms, base, n)
-        depth -= 1
-    return Element(e.tag, terms)
-
-
 def test_normal_form_confluence_under_randomized_order(rng):
+    # the Leavitt rewrite in a shuffled order reaches the constructor's table,
+    # and that table is the raw one's value by the expansion oracle
     for _ in range(300):
         tag = rng.choice(TAGS[:3])
-        e = random_element(rng, tag, max_terms=6, max_len=3)
-        assert randomized_normalize(e, rng).terms == e.terms
+        raw = random_table(rng, tag)
+        canon = Element(tag, raw).terms
+        assert shuffled_leavitt(raw, tag.ngens, rng) == canon
+        assert expansion_equal(raw, canon, tag.ngens)
 
 
 def test_normalize_idempotent(rng):
@@ -108,8 +91,7 @@ def test_equality_oracle_consistent_with_normal_form(rng):
 
 def test_expansion_soundness(rng):
     # rewriting s_J s_K* as the sum over one-step right extensions is an
-    # identity, so the oracle must see through it even when the collapse
-    # fast path is defeated term by term
+    # identity, so canonicalization must map both sides to one table
     for _ in range(200):
         tag = rng.choice(TAGS[:3])
         n = tag.ngens
@@ -119,8 +101,35 @@ def test_expansion_soundness(rng):
         expanded = zero(tag)
         for i in range(1, n + 1):
             expanded = expanded + mono(tag, l + (i,), r + (i,))
-        assert equals(e, expanded)
-        assert e == expanded  # collapse recovers the normal form too
+        assert e == expanded
+
+
+def _oracle_pairs(rng, tag):
+    """Pairs (a, b, equal by construction or None) over one tag."""
+    n = tag.ngens
+    letters = n if tag.is_finite else 6
+    a, b, c = (random_element(rng, tag, max_terms=3) for _ in range(3))
+    yield a, b, None
+    yield multiply(multiply(a, b), c), multiply(a, multiply(b, c)), True
+    yield adjoint(multiply(a, b)), multiply(adjoint(b), adjoint(a)), True
+    l, r = random_word(rng, letters, 3), random_word(rng, letters, 3)
+    k = random_scalar(rng)
+    siblings = {(l + (i,), r + (i,)): k for i in range(1, letters + 1)}
+    yield a + k * mono(tag, l, r), Element(tag, siblings) + a, tag.is_finite or k.is_zero()
+    moved = dict(siblings)
+    moved[l + (1,), r + (1,)] = k + 1
+    yield a + k * mono(tag, l, r), Element(tag, moved) + a, False
+
+
+def test_structural_equals_agrees_with_expansion_oracle(rng):
+    for _ in range(150):
+        for tag in TAGS:
+            for a, b, want in _oracle_pairs(rng, tag):
+                verdict = equals(a, b)
+                assert verdict == expansion_equal(a.terms, b.terms, tag.ngens)
+                assert verdict == (a == b) and (not verdict or hash(a) == hash(b))
+                if want is not None:
+                    assert verdict == want
 
 
 def test_grade_decomposition_sums_back(rng):

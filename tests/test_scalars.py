@@ -40,11 +40,6 @@ def test_coercion_from_int_and_fraction():
     assert 2 - g(1, 1) == g(1, -1)
 
 
-def test_sort_key_is_lexicographic():
-    assert g(1, 5).sort_key() < g(2, 0).sort_key()
-    assert g(1, -1).sort_key() < g(1, 0).sort_key()
-
-
 def test_exactness_no_float_drift():
     x = g(Fraction(1, 3))
     acc = ZERO
