@@ -11,7 +11,7 @@ import random
 import sys
 from typing import List, Optional
 
-from .algebra import AlgebraTag, O, O_INF, equals, mono, unit
+from .algebra import AlgebraTag, O, O_INF, equals, gen, mono, unit
 from .gauge import uhf_chain_check
 from .homs import GenHom, HomError, apply, compose, f, f_inf, q
 from .limits import (
@@ -49,26 +49,18 @@ def _ints(text: str) -> List[int]:
 
 def _corrupt(h: GenHom) -> GenHom:
     """Mutation hook: swap the first two generator images without revalidating."""
-    imgs = [h.image(k) for k in h.gens()]
-    imgs[0], imgs[1] = imgs[1], imgs[0]
-    return GenHom(h.domain, h.codomain, imgs, bound=h.bound)
+    return GenHom(h.domain, h.codomain, lambda k: h.image({1: 2, 2: 1}.get(k, k)))
+
+
+_FAMILIES = {"f": (f, 2, "n,m"), "finf": (f_inf, 1, "n"), "q": (q, 2, "r,n")}
 
 
 def _family(args) -> GenHom:
     params = _ints(args.args)
-    if args.family == "f":
-        if len(params) != 2:
-            raise argparse.ArgumentTypeError("--family f needs --args n,m")
-        return f(*params)
-    if args.family == "finf":
-        if len(params) != 1:
-            raise argparse.ArgumentTypeError("--family finf needs --args n")
-        return f_inf(params[0])
-    if args.family == "q":
-        if len(params) != 2:
-            raise argparse.ArgumentTypeError("--family q needs --args r,n")
-        return q(*params)
-    raise argparse.ArgumentTypeError("unknown family %r" % args.family)
+    build, arity, usage = _FAMILIES[args.family]
+    if len(params) != arity:
+        raise HomError("--family %s needs --args %s" % (args.family, usage))
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +181,17 @@ def verify_state(max_m: int, word_len: int = 3, samples: int = 500,
 
 
 def verify_uhf(r: int, depth: int, corrupt: bool = False) -> None:
-    report = uhf_chain_check(r, depth)
-    if corrupt:
-        raise Refuted("uhf chain check forced failure (corrupt hook)")
+    def maps(n: int) -> GenHom:
+        if not (corrupt and n == 1):
+            return q(r, n, validate=True)
+        # mutation hook: generator 1 goes to s1, a proper prefix of s1 s2
+        h = q(r, 1)
+        return GenHom(h.domain, h.codomain,
+                      lambda k: gen(h.codomain, 1) if k == 1 else h.image(k))
+
+    report = uhf_chain_check(r, depth, maps=maps)
     if not report.ok:
-        bad = [lv for lv in report.levels if not (lv.code_maximal and lv.member_ok)]
+        bad = [lv.n for lv in report.levels if not (lv.code_maximal and lv.member_ok)]
         raise Refuted("uhf chain check failed at levels %s" % bad)
 
 
@@ -304,8 +302,6 @@ def _cmd_verify(args) -> int:
         elif args.what == "state":
             verify_state(args.max, corrupt=args.corrupt)
             print("state compatibility verified up to %d" % args.max)
-        else:
-            raise argparse.ArgumentTypeError("unknown verify target")
     except Refuted as exc:
         print("REFUTED: %s" % exc)
         return 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import AlgebraError, Element, Word
 from .homs import GenHom, apply, compose, q, rn, validate_prefix_code
@@ -98,17 +98,19 @@ class UhfChainReport:
     ok: bool
 
 
-def uhf_chain_check(r: int, depth: int, max_len: int = 12,
-                    grade_range: int = 6) -> UhfChainReport:
-    """Validates the squaring maps q(r, n) for n < depth, pushes their images
-    down to O_r, and records block membership, grade doubling, and the graded
-    vanishing pattern."""
+def uhf_chain_check(r: int, depth: int, max_len: int = 12, grade_range: int = 6,
+                    maps: Optional[Callable[[int], GenHom]] = None) -> UhfChainReport:
+    """Checks the squaring maps O_{r_{n+1}} -> O_{r_n} for n < depth (maps(n),
+    by default q(r, n) validated), pushes their images down to O_r, and
+    records block membership, grade doubling, and the graded vanishing
+    pattern."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    maps = maps or (lambda n: q(r, n, validate=True))
     levels = []
     push = None  # composed map A_{r,n+1} -> A_{r,1}
     for n in range(1, depth):
-        step = q(r, n, validate=True)
+        step = maps(n)
         words = step.image_words()
         report = validate_prefix_code(words, rn(r, n))
         push = step if push is None else compose(push, step, validate=False)

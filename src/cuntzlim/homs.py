@@ -1,23 +1,25 @@
 """Generator-defined *-homomorphisms between Cuntz algebras.
 
-A hom is stored by its generator images and validated symbolically:
-f(s_i)* f(s_j) = delta_ij I for all pairs, and sum_i f(s_i) f(s_i)* = I
-for finite domains.  When the images are single isometry words this is
-equivalent to the image words forming a (maximal) prefix code, which is
-reported separately as an exact combinatorial certificate.
+A hom is a rule for its generator images, run on first use.  It is
+validated symbolically: f(s_i)* f(s_j) = delta_ij I for all pairs, and
+sum_i f(s_i) f(s_i)* = I for finite domains; an O_inf domain is checked on
+its first INF_VALIDATION_GENS generators.  When the images are single
+isometry words this is equivalent to the image words forming a (maximal)
+prefix code, which is reported separately as an exact combinatorial
+certificate.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Sequence, Union
 
 from .algebra import (
     AlgebraError,
     AlgebraTag,
     Element,
+    O_INF,
     Word,
     adjoint,
     add,
@@ -29,19 +31,11 @@ from .algebra import (
     zero,
 )
 
-ENV_BOUND = "CUNTZLIM_INF_VALIDATION_BOUND"
-DEFAULT_INF_BOUND = 32
+INF_VALIDATION_GENS = 32
 
 
 class HomError(ValueError):
     pass
-
-
-def default_validation_bound() -> int:
-    try:
-        return max(2, int(os.environ.get(ENV_BOUND, DEFAULT_INF_BOUND)))
-    except ValueError:
-        return DEFAULT_INF_BOUND
 
 
 @dataclass(frozen=True)
@@ -65,54 +59,47 @@ def validate_prefix_code(words: Iterable[Word], alphabet_size: int) -> CodeRepor
 
 
 class GenHom:
-    """A *-homomorphism given by generator images.
+    """A *-homomorphism given by its generator images.
 
-    Finite domains store an image tuple; O_inf domains store a total rule
-    index -> Element together with the bound used during validation.
+    Images come from a rule k -> Element that runs the first time generator
+    k is asked for; its index and tag are checked then and the image is
+    cached.  A finite domain also accepts the sequence of all its images.
     """
 
-    __slots__ = ("domain", "codomain", "_images", "_rule", "bound", "_cache")
+    __slots__ = ("domain", "codomain", "_rule", "_cache")
 
     def __init__(
         self,
         domain: AlgebraTag,
         codomain: AlgebraTag,
         images: Union[Sequence[Element], Callable[[int], Element]],
-        bound: Optional[int] = None,
     ):
         self.domain = domain
         self.codomain = codomain
-        self.bound = bound or default_validation_bound()
         self._cache: Dict[int, Element] = {}
-        if domain.is_finite:
+        if not callable(images):
+            if not domain.is_finite:
+                raise HomError("O_inf domain needs an image rule")
             imgs = tuple(images)
             if len(imgs) != domain.ngens:
                 raise HomError(
-                    "expected %d generator images, got %d"
-                    % (domain.ngens, len(imgs))
+                    "expected %d generator images, got %d" % (domain.ngens, len(imgs))
                 )
-            self._images, self._rule = imgs, None
-        else:
-            if not callable(images):
-                raise HomError("O_inf domain needs an image rule")
-            self._images, self._rule = None, images
+            images = lambda k: imgs[k - 1]
+        self._rule = images
 
     def image(self, k: int) -> Element:
-        self.domain.check_index(k)
-        if self._images is not None:
-            e = self._images[k - 1]
-        else:
-            e = self._cache.get(k)
-            if e is None:
-                e = self._rule(k)
-                self._cache[k] = e
-        if e.tag != self.codomain:
-            raise HomError("image of generator %d has wrong tag" % k)
+        e = self._cache.get(k)
+        if e is None:
+            self.domain.check_index(k)
+            e = self._rule(k)
+            if e.tag != self.codomain:
+                raise HomError("image of generator %d has wrong tag" % k)
+            self._cache[k] = e
         return e
 
     def gens(self) -> range:
-        n = self.domain.ngens
-        return range(1, (n if n is not None else self.bound) + 1)
+        return range(1, (self.domain.ngens or INF_VALIDATION_GENS) + 1)
 
     def image_words(self) -> list:
         """Image words when every image is a single bare isometry word."""
@@ -151,23 +138,16 @@ def _validate(h: GenHom) -> None:
             )
 
 
-def make_hom(
-    domain: AlgebraTag,
-    codomain: AlgebraTag,
-    images,
-    bound: Optional[int] = None,
-    validate: bool = True,
-) -> GenHom:
-    h = GenHom(domain, codomain, images, bound)
+def make_hom(domain: AlgebraTag, codomain: AlgebraTag, images,
+             validate: bool = True) -> GenHom:
+    h = GenHom(domain, codomain, images)
     if validate:
         _validate(h)
     return h
 
 
 def identity(tag: AlgebraTag) -> GenHom:
-    if tag.is_finite:
-        return GenHom(tag, tag, [mono(tag, (i,)) for i in range(1, tag.ngens + 1)])
-    return GenHom(tag, tag, lambda k: mono(tag, (k,)))
+    return make_hom(tag, tag, lambda k: mono(tag, (k,)), validate=False)
 
 
 def apply(h: GenHom, e: Element) -> Element:
@@ -191,35 +171,35 @@ def compose(outer: GenHom, inner: GenHom, validate: bool = True) -> GenHom:
             "algebra mismatch: inner codomain %s vs outer domain %s"
             % (inner.codomain, outer.domain)
         )
-    if inner.domain.is_finite:
-        images = [apply(outer, inner.image(k)) for k in inner.gens()]
-    else:
-        images = lambda k: apply(outer, inner.image(k))
-    return make_hom(inner.domain, outer.codomain, images,
-                    bound=inner.bound, validate=validate)
+    return make_hom(inner.domain, outer.codomain,
+                    lambda k: apply(outer, inner.image(k)), validate=validate)
+
+
+def _block_rule(n: int, cod: AlgebraTag) -> Callable[[int], Element]:
+    """Generator n*l+i -> (s_{n+1})^l s_i for 1 <= i <= n."""
+
+    def rule(k: int) -> Element:
+        l, i = divmod(k - 1, n)
+        return mono(cod, (n + 1,) * l + (i + 1,))
+
+    return rule
 
 
 def f(n: int, m: int, validate: bool = False) -> GenHom:
     """The connecting map R_m -> R_n of the inverse system (n divides m):
     generator n*l+i -> (s_{n+1})^l s_i and generator m+1 -> (s_{n+1})^{m/n}.
+    For n = m this is the identity.
     """
     if n < 1 or m < 1:
         raise HomError("n and m must be positive")
     if m % n:
         raise HomError("%d does not divide %d" % (n, m))
-    dom, cod = AlgebraTag(m + 1), AlgebraTag(n + 1)
-    if n == m:
-        return identity(dom)
-    top = n + 1
-    images = []
-    for l in range(m // n):
-        for i in range(1, n + 1):
-            images.append(mono(cod, (top,) * l + (i,)))
-    images.append(mono(cod, (top,) * (m // n)))
-    h = GenHom(dom, cod, images)
-    if validate:
-        _validate(h)
-    return h
+    cod = AlgebraTag(n + 1)
+    block = _block_rule(n, cod)
+    last = (n + 1,) * (m // n)
+    return make_hom(AlgebraTag(m + 1), cod,
+                    lambda k: block(k) if k <= m else mono(cod, last),
+                    validate=validate)
 
 
 def f_inf(n: int) -> GenHom:
@@ -227,14 +207,7 @@ def f_inf(n: int) -> GenHom:
     if n < 1:
         raise HomError("n must be positive")
     cod = AlgebraTag(n + 1)
-
-    def rule(k: int) -> Element:
-        l, i = divmod(k - 1, n)
-        return mono(cod, (n + 1,) * l + (i + 1,))
-
-    from .algebra import O_INF
-
-    return GenHom(O_INF, cod, rule)
+    return make_hom(O_INF, cod, _block_rule(n, cod), validate=False)
 
 
 def rn(r: int, n: int) -> int:
@@ -247,16 +220,13 @@ def q(r: int, n: int, validate: bool = False) -> GenHom:
     if r < 2 or n < 1:
         raise HomError("need r >= 2 and n >= 1")
     size = rn(r, n)
-    dom, cod = AlgebraTag(size * size), AlgebraTag(size)
-    images = [
-        mono(cod, (i, j))
-        for i in range(1, size + 1)
-        for j in range(1, size + 1)
-    ]
-    h = GenHom(dom, cod, images)
-    if validate:
-        _validate(h)
-    return h
+    cod = AlgebraTag(size)
+
+    def rule(k: int) -> Element:
+        i, j = divmod(k - 1, size)
+        return mono(cod, (i + 1, j + 1))
+
+    return make_hom(AlgebraTag(size * size), cod, rule, validate=validate)
 
 
 def hom_exists(m_gens: Union[int, float, None], n_gens: Union[int, float, None]) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .algebra import AlgebraTag, Element, adjoint, add, multiply, scale, unit, mono
-from .scalars import GaussianRational, IMAG
+from .scalars import IMAG
 
 
 class ParseError(ValueError):
@@ -128,21 +128,6 @@ def parse(tag: AlgebraTag, text: str) -> Element:
     return e
 
 
-def _render_coeff(c: GaussianRational) -> str:
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return "%s i" % c.im
-    op = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
-    imag = "i" if mag == 1 else "%s i" % mag
-    return "(%s %s %s)" % (c.re, op, imag)
-
-
 def _render_mono(left, right) -> str:
     parts = ["s%d" % k for k in left]
     parts += ["s%d'" % k for k in reversed(right)]
@@ -156,7 +141,7 @@ def render(e: Element) -> str:
     for (l, r) in sorted(e.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
         c = e.terms[(l, r)]
         m = _render_mono(l, r)
-        cs = _render_coeff(c)
+        cs = str(c)
         if cs == "1":
             bits.append(m)
         elif cs == "-1":

@@ -63,6 +63,7 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def __str__(self) -> str:
+        """Text form read back by the parser: 1/2, -i, 3/2 i, (1 - 2 i)."""
         if self.im == 0:
             return str(self.re)
         if self.re == 0:
@@ -71,10 +72,9 @@ class GaussianRational:
             if self.im == -1:
                 return "-i"
             return "%s i" % self.im
-        im = "+ %s i" % self.im if self.im > 0 else "- %s i" % (-self.im)
-        if abs(self.im) == 1:
-            im = "+ i" if self.im > 0 else "- i"
-        return "(%s %s)" % (self.re, im)
+        mag = abs(self.im)
+        imag = "i" if mag == 1 else "%s i" % mag
+        return "(%s %s %s)" % (self.re, "+" if self.im > 0 else "-", imag)
 
 
 ZERO = GaussianRational(Fraction(0), Fraction(0))

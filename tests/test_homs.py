@@ -78,9 +78,30 @@ def test_compose_matches_direct_connecting_map():
 
 
 def test_identity_and_apply():
-    h = identity(O(3))
     e = mono(O(3), (1, 2), (3,))
-    assert apply(h, e) == e
+    for h in (identity(O(3)), f(2, 2)):
+        assert [h.image(k) for k in h.gens()] == [gen(O(3), k) for k in (1, 2, 3)]
+        assert apply(h, e) == e
+
+
+def test_image_rule_runs_once_per_requested_generator():
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return mono(O(2), (2,) * (k - 1) + (1,))
+
+    h = GenHom(O(5), O(2), rule)
+    assert h.image(3) == h.image(3) == mono(O(2), (2, 2, 1))
+    h.image(1)
+    assert calls == [3, 1]
+
+
+def test_image_sequence_checked():
+    with pytest.raises(HomError):
+        GenHom(O(3), O(2), [gen(O(2), 1), gen(O(2), 2)])
+    with pytest.raises(HomError):
+        GenHom(O_INF, O(2), [gen(O(2), 1), gen(O(2), 2)])
 
 
 def test_apply_is_star_homomorphism():

@@ -98,6 +98,16 @@ def test_cli_hom_apply():
     assert rc == 0 and out.strip() == "s2 s2"
 
 
+def test_cli_hom_apply_builds_only_needed_images():
+    # q(2,5) has 2^32 generators; only generators 1 and 7 are built
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuntzlim.cli", "hom", "apply", "--family", "q",
+         "--args", "2,5", "s1 s7'"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "s1 s1 s7' s1'"
+
+
 def test_cli_verify_suites():
     assert run("verify", "inverse-system", "--max", "6")[0] == 0
     assert run("verify", "psi", "--chain", "1,2,4", "--expr", "s3 s1'")[0] == 0
@@ -115,6 +125,8 @@ def test_cli_verify_corrupt_refutes():
     assert rc == 1 and "REFUTED" in out
     rc, out = run("verify", "psi", "--chain", "1,2,4", "--expr", "s3 s1'", "--corrupt")
     assert rc == 1 and "REFUTED" in out
+    rc, out = run("verify", "uhf", "--r", "2", "--depth", "3", "--corrupt")
+    assert rc == 1 and "failed at levels [1, 2]" in out and "forced" not in out
 
 
 def test_cli_poset_graph(tmp_path):
@@ -146,6 +158,9 @@ def test_cli_usage_errors(capsys):
     assert main(["verify", "psi", "--chain", "2", "--expr", "s1", "--corrupt"]) == 2
     assert main(["normalize", "--algebra", "O2", "s9"]) == 2
     assert main(["hom", "apply", "--family", "f", "--args", "2,3", "s1"]) == 2
+    assert main(["hom", "apply", "--family", "f", "--args", "2", "s1"]) == 2
+    assert main(["hom", "apply", "--family", "finf", "--args", "2,3", "s1"]) == 2
+    assert "needs --args n" in capsys.readouterr().err
 
 
 def test_console_script_installed():
