@@ -183,7 +183,7 @@ def verify_state(max_m: int, word_len: int = 3, samples: int = 500,
 def verify_uhf(r: int, depth: int, corrupt: bool = False) -> None:
     def maps(n: int) -> GenHom:
         if not (corrupt and n == 1):
-            return q(r, n, validate=True)
+            return q(r, n)
         # mutation hook: generator 1 goes to s1, a proper prefix of s1 s2
         h = q(r, 1)
         return GenHom(h.domain, h.codomain,
@@ -222,29 +222,26 @@ def _cmd_hom_apply(args) -> int:
     return 0
 
 
-def _cmd_poset_graph(args) -> int:
-    g = embeddability_graph(args.max, reduce=args.reduce)
-    text = g.to_dot("embeddability")
-    if args.out:
-        with open(args.out, "w") as fh:
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
-        print("wrote %s" % args.out)
+        print("wrote %s" % out)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _cmd_poset_graph(args) -> int:
+    g = embeddability_graph(args.max, reduce=args.reduce)
+    return _emit(g.to_dot("embeddability"), args.out)
 
 
 def _cmd_profinite_report(args) -> int:
     rep = discontinuity_report(args.depth, args.bound, p=args.p,
                                p_precision=args.p_precision)
-    text = rep.to_kv() if args.kv else rep.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print("wrote %s" % args.out)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(rep.to_kv() if args.kv else rep.to_text(), args.out)
 
 
 def _cmd_partition(args) -> int:
@@ -258,17 +255,13 @@ def render_partition(chain: Chain) -> str:
     image words in the top algebra R_{n_1}."""
     n1 = chain[0]
     base = n1 + 1
-    homs = [f(n1, nk) for nk in chain]
-    max_len = max(
-        len(next(iter(h.image(g).terms))[0]) for h in homs for g in h.gens()
-    )
-    cells = base ** max_len
+    words = [f(n1, nk).image_words() for nk in chain]
+    max_len = max(len(w) for ws in words for w in ws)
     cell_w = 6
     rows = []
-    for nk, h in zip(chain, homs):
+    for nk, ws in zip(chain, words):
         segs = []
-        for g in h.gens():
-            ((w, _), _c), = h.image(g).terms.items()
+        for g, w in enumerate(ws, 1):
             start = 0
             for j, a in enumerate(w):
                 start += (a - 1) * base ** (max_len - 1 - j)

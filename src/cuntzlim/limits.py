@@ -12,9 +12,7 @@ from .algebra import (
     Element,
     O,
     Word,
-    add,
     equals,
-    zero,
 )
 from .homs import apply, f, f_inf
 from .poset import Chain
@@ -191,13 +189,11 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     """Linear extension of classify_monomial; parts sum to e."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
-    qp, vp, vsp = zero(O2), zero(O2), zero(O2)
+    parts = ([], [], [])
     for (l, r), c in e.terms.items():
-        mq, mv, mvs = classify_monomial(n, l, r)
-        qp = add(qp, c * mq)
-        vp = add(vp, c * mv)
-        vsp = add(vsp, c * mvs)
-    return qp, vp, vsp
+        for pairs, m in zip(parts, classify_monomial(n, l, r)):
+            pairs.extend((key, c * v) for key, v in m.terms.items())
+    return tuple(Element(O2, pairs) for pairs in parts)
 
 
 # ---------------------------------------------------------------------------

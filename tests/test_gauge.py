@@ -1,6 +1,7 @@
 import pytest
 
 from cuntzlim import (
+    GenHom,
     O,
     f,
     fixed_point_report,
@@ -8,6 +9,7 @@ from cuntzlim import (
     is_diagonal,
     is_gauge_invariant,
     mono,
+    q,
     uhf_chain_check,
     uhf_graded_vanishing,
     uhf_member,
@@ -72,6 +74,18 @@ def test_uhf_chain_check_reports():
         assert [lv.grade_scale for lv in rep.levels] == [2, 4]
         assert all(lv.code_maximal and lv.member_ok for lv in rep.levels)
         assert all(rep.vanishing.values())
+
+
+def test_uhf_chain_check_fails_a_level_without_word_images():
+    # generator 1 of q(2, 1) goes to s1 + s2, which has no prefix-code
+    # certificate: the level fails instead of the check raising
+    h = q(2, 1)
+    bad = GenHom(h.domain, h.codomain,
+                 lambda k: gen(O2, 1) + gen(O2, 2) if k == 1 else h.image(k))
+    rep = uhf_chain_check(2, 3, maps=lambda n: bad if n == 1 else q(2, n))
+    assert not rep.ok
+    assert [lv.n for lv in rep.levels if not lv.code_maximal] == [1]
+    assert [lv.n for lv in rep.levels if not lv.member_ok] == [1, 2]
 
 
 def test_uhf_chain_check_depth_guard():

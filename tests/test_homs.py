@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -27,20 +28,16 @@ from cuntzlim import (
 from cuntzlim.parser import render
 
 
-def words(h):
-    return [next(iter(h.image(k).terms))[0] for k in h.gens()]
-
-
 def test_f_1_2_generator_images():
-    assert words(f(1, 2)) == [(1,), (2, 1), (2, 2)]
+    assert f(1, 2).image_words() == [(1,), (2, 1), (2, 2)]
 
 
 def test_f_2_4_generator_images():
-    assert words(f(2, 4)) == [(1,), (2,), (3, 1), (3, 2), (3, 3)]
+    assert f(2, 4).image_words() == [(1,), (2,), (3, 1), (3, 2), (3, 3)]
 
 
 def test_f_1_4_generator_images():
-    assert words(f(1, 4)) == [
+    assert f(1, 4).image_words() == [
         (1,),
         (2, 1),
         (2, 2, 1),
@@ -52,7 +49,7 @@ def test_f_1_4_generator_images():
 def test_f_general_formula():
     h = f(3, 6)
     # generator 3*l+i -> s4^l s_i, last generator -> s4^(6/3)
-    assert words(h) == [
+    assert h.image_words() == [
         (1,), (2,), (3,),
         (4, 1), (4, 2), (4, 3),
         (4, 4),
@@ -67,8 +64,8 @@ def test_f_requires_divisibility():
 
 
 def test_f_validates_as_unital_star_hom():
-    f(2, 6, validate=True)
-    f(1, 5, validate=True)
+    for h in (f(2, 6), f(1, 5)):
+        make_hom(h.domain, h.codomain, h.image)
 
 
 def test_compose_matches_direct_connecting_map():
@@ -135,12 +132,13 @@ def test_q_images_and_rn():
     assert rn(2, 1) == 2 and rn(2, 2) == 4 and rn(2, 3) == 16
     assert rn(3, 2) == 9
     h = q(2, 1)
-    assert words(h) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert h.image_words() == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert h.domain == O(4) and h.codomain == O(2)
 
 
 def test_q_validates():
-    q(2, 2, validate=True)
+    h = q(2, 2)
+    make_hom(h.domain, h.codomain, h.image)
 
 
 def test_prefix_code_validation():
@@ -152,6 +150,8 @@ def test_prefix_code_validation():
     assert not rep.prefix_free
     rep = validate_prefix_code([(1,), (1,)], 2)
     assert not rep.prefix_free
+    rep = validate_prefix_code([(), (1,)], 2)
+    assert not rep.prefix_free
 
 
 def test_invalid_word_images_rejected():
@@ -161,6 +161,53 @@ def test_invalid_word_images_rejected():
     # overlapping images break isometry orthogonality
     with pytest.raises(HomError):
         make_hom(O(2), O(2), [mono(O(2), (1,)), mono(O(2), (1, 2))], validate=True)
+
+
+def _maximal_codes(rng, n, count):
+    """Random maximal prefix codes over n letters: split random leaves."""
+    for _ in range(count):
+        code = [(i,) for i in range(1, n + 1)]
+        for _ in range(rng.randint(0, 3)):
+            w = code.pop(rng.randrange(len(code)))
+            code += [w + (i,) for i in range(1, n + 1)]
+        rng.shuffle(code)
+        yield code
+
+
+def _corruptions(rng, code):
+    """Word sets near a maximal code: a word cut to its proper prefix, a
+    duplicated word, a lengthened word, a dropped word, an added word."""
+    i, j = rng.sample(range(len(code)), 2)
+    long = max(range(len(code)), key=lambda k: len(code[k]))
+    cut = list(code)
+    cut[long] = code[long][:-1]
+    dup = list(code)
+    dup[i] = code[j]
+    grown = list(code)
+    grown[i] = code[i] + (1,)
+    dropped = code[:i] + code[i + 1:]
+    added = code + [code[j] + (1,)]
+    return [c for c in (cut, dup, grown, dropped, added) if len(c) >= 2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairwise_validation_agrees_with_prefix_code_certificate(n):
+    # for a word hom the Cuntz relations hold exactly when the image words
+    # form a maximal prefix code, so either check decides validity
+    rng = random.Random(20261018 + n)
+    cod = O(n)
+    seen = {True: 0, False: 0}
+    for code in _maximal_codes(rng, n, 12):
+        for ws in [code] + _corruptions(rng, code):
+            maximal = validate_prefix_code(ws, n).maximal
+            try:
+                make_hom(O(len(ws)), cod, [mono(cod, w) for w in ws])
+                valid = True
+            except HomError:
+                valid = False
+            assert valid == maximal, ws
+            seen[maximal] += 1
+    assert seen[True] >= 12 and seen[False] >= 12 * 3
 
 
 def test_hom_exists_divisibility_rule():

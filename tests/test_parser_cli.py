@@ -108,6 +108,16 @@ def test_cli_hom_apply_builds_only_needed_images():
     assert proc.returncode == 0 and proc.stdout.strip() == "s1 s1 s7' s1'"
 
 
+def test_cli_verify_uhf_checks_each_level_by_its_certificate():
+    # q(3, 3) has 3^8 generators: comparing all pairs of their images would
+    # not finish, checking the prefix-code certificate is linear
+    cmd = [sys.executable, "-m", "cuntzlim.cli", "verify", "uhf", "--r", "3", "--depth", "4"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and "verified" in proc.stdout
+    proc = subprocess.run(cmd + ["--corrupt"], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1 and "failed at levels" in proc.stdout
+
+
 def test_cli_verify_suites():
     assert run("verify", "inverse-system", "--max", "6")[0] == 0
     assert run("verify", "psi", "--chain", "1,2,4", "--expr", "s3 s1'")[0] == 0
