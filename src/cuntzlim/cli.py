@@ -1,37 +1,29 @@
-"""Command-line surface.
+"""Command-line surface: argument parsing, output and exit codes.
 
-Exit codes: 0 = verified/success, 1 = refuted (a counterexample is printed),
-2 = usage or parse error.
+The verification suites live in cuntzlim.verify; `verify <suite>` runs one
+and prints its success line.  Exit codes: 0 = verified/success, 1 = refuted
+(a counterexample is printed), 2 = usage or parse error, including suite
+parameters that would check nothing.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
-import random
 import sys
 from typing import List, Optional
 
-from .algebra import AlgebraTag, O, O_INF, equals, gen, mono, unit
-from .gauge import uhf_chain_check
-from .homs import GenHom, HomError, apply, compose, f, f_inf, q
-from .limits import (
-    CoherentFamily,
-    check_coherent,
-    classify_monomial,
-    in_L,
-    is_q_inf_shape,
-    is_v_shape,
-    is_vstar_shape,
-    psi,
-    state_omega,
-)
+from .algebra import AlgebraTag, O, O_INF, equals
+from .homs import GenHom, HomError, apply, f, f_inf, q
 from .parser import ParseError, parse, render
 from .poset import Chain, embeddability_graph
 from .profinite import discontinuity_report
-
-
-class Refuted(Exception):
-    """Verification failure carrying the printed counterexample."""
+from .verify import (
+    Refuted,
+    verify_decomposition,
+    verify_inverse_system,
+    verify_psi,
+    verify_state,
+    verify_uhf,
+)
 
 
 def _tag(text: str) -> AlgebraTag:
@@ -47,11 +39,6 @@ def _ints(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _corrupt(h: GenHom) -> GenHom:
-    """Mutation hook: swap the first two generator images without revalidating."""
-    return GenHom(h.domain, h.codomain, lambda k: h.image({1: 2, 2: 1}.get(k, k)))
-
-
 _FAMILIES = {"f": (f, 2, "n,m"), "finf": (f_inf, 1, "n"), "q": (q, 2, "r,n")}
 
 
@@ -62,142 +49,6 @@ def _family(args) -> GenHom:
         raise HomError("--family %s needs --args %s" % (args.family, usage))
     return build(*params)
 
-
-# ---------------------------------------------------------------------------
-# verification suites (shared with the test suite)
-# ---------------------------------------------------------------------------
-
-def verify_inverse_system(max_l: int, corrupt: bool = False) -> None:
-    """f(n,m) o f(m,l) = f(n,l) generator-wise on all chains n | m | l."""
-    for l in range(1, max_l + 1):
-        for m in range(1, l + 1):
-            if l % m:
-                continue
-            for n in range(1, m + 1):
-                if m % n:
-                    continue
-                inner = f(m, l)
-                outer = f(n, m)
-                if corrupt and l > m > n:
-                    outer = _corrupt(outer)
-                direct = f(n, l)
-                comp = compose(outer, inner, validate=False)
-                for k in comp.gens():
-                    if not equals(comp.image(k), direct.image(k)):
-                        raise Refuted(
-                            "compose(f(%d,%d), f(%d,%d)) != f(%d,%d) on generator %d: "
-                            "%s vs %s"
-                            % (n, m, m, l, n, l, k,
-                               render(comp.image(k)), render(direct.image(k)))
-                        )
-
-
-def verify_psi(chain: Chain, expr: "Element", corrupt: bool = False) -> None:
-    fam = psi(chain, expr)
-    if corrupt:
-        if len(chain) < 2:
-            raise ValueError("--corrupt needs a chain of at least two elements")
-        entries = list(fam.entries)
-        entries[0] = entries[0] + unit(entries[0].tag)
-        fam = CoherentFamily(chain, tuple(entries))
-    if not check_coherent(fam):
-        raise Refuted(
-            "psi image violates coherence on chain %s for %s"
-            % (list(chain), render(expr))
-        )
-
-
-def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
-    """Every monomial over L_n words of bounded length splits into parts that
-    sum back and satisfy disjoint shape predicates.  Monomials are classified
-    from their raw words: the canonical form of x 2^(an) (y 2^(bn))* with
-    a, b >= 1 is already split, so decomposing it would never reach the
-    mixed branch of classify_monomial.  Every monomial classify_monomial
-    writes has a word that is empty or ends in 1, so its tables are checked
-    as built."""
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
-    tag = O(2)
-    words = [()] + [
-        w
-        for length in range(1, max_len + 1)
-        for w in itertools.product((1, 2), repeat=length)
-        if in_L(n, w)
-    ]
-    for l in words:
-        for r in words:
-            e = mono(tag, l, r)
-            qp, vp, vsp = classify_monomial(n, l, r)
-            if corrupt:
-                vp = vp + unit(tag)
-            if not equals(qp + vp + vsp, e):
-                raise Refuted(
-                    "decomposition of %s does not sum back" % render(e)
-                )
-            for (wl, wr) in qp.terms:
-                if not is_q_inf_shape(wl, wr) or is_v_shape(n, wl, wr) or is_vstar_shape(n, wl, wr):
-                    raise Refuted("bad Q_inf part monomial in %s" % render(e))
-            for (wl, wr) in vp.terms:
-                if not is_v_shape(n, wl, wr) or is_q_inf_shape(wl, wr):
-                    raise Refuted("bad V part monomial in %s" % render(e))
-            for (wl, wr) in vsp.terms:
-                if not is_vstar_shape(n, wl, wr) or is_q_inf_shape(wl, wr):
-                    raise Refuted("bad V* part monomial in %s" % render(e))
-
-
-def verify_state(max_m: int, word_len: int = 3, samples: int = 500,
-                 corrupt: bool = False, seed: int = 0) -> None:
-    """State compatibility omega_n o f(n,m) = omega_m.
-
-    Exhaustive over generator letters (which determines the identity on all
-    monomials, since the state tests the all-ones property letterwise) plus
-    random monomials up to the sampled word length."""
-    rng = random.Random(seed)
-    for m in range(1, max_m + 1):
-        for n in range(1, m + 1):
-            if m % n:
-                continue
-            h = f(n, m)
-            if corrupt and n < m:
-                h = _corrupt(h)
-            tag_m = O(m + 1)
-            for g in range(1, m + 2):
-                e = mono(tag_m, (g,))
-                lhs = state_omega(n, apply(h, e))
-                rhs = state_omega(m, e)
-                if lhs != rhs:
-                    raise Refuted(
-                        "state mismatch on generator s%d of R_%d under f(%d,%d):"
-                        " %s vs %s" % (g, m, n, m, lhs, rhs)
-                    )
-            for _ in range(samples // max(1, max_m)):
-                l = tuple(rng.randint(1, m + 1) for _ in range(rng.randint(0, word_len)))
-                r = tuple(rng.randint(1, m + 1) for _ in range(rng.randint(0, word_len)))
-                e = mono(tag_m, l, r)
-                if state_omega(n, apply(h, e)) != state_omega(m, e):
-                    raise Refuted(
-                        "state mismatch on %s under f(%d,%d)" % (render(e), n, m)
-                    )
-
-
-def verify_uhf(r: int, depth: int, corrupt: bool = False) -> None:
-    def maps(n: int) -> GenHom:
-        if not (corrupt and n == 1):
-            return q(r, n)
-        # mutation hook: generator 1 goes to s1, a proper prefix of s1 s2
-        h = q(r, 1)
-        return GenHom(h.domain, h.codomain,
-                      lambda k: gen(h.codomain, 1) if k == 1 else h.image(k))
-
-    report = uhf_chain_check(r, depth, maps=maps)
-    if not report.ok:
-        bad = [lv.n for lv in report.levels if not (lv.code_maximal and lv.member_ok)]
-        raise Refuted("uhf chain check failed at levels %s" % bad)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 def _cmd_normalize(args) -> int:
     e = parse(args.algebra, args.expr)
@@ -277,27 +128,11 @@ def render_partition(chain: Chain) -> str:
 
 def _cmd_verify(args) -> int:
     try:
-        if args.what == "inverse-system":
-            verify_inverse_system(args.max, corrupt=args.corrupt)
-            print("inverse-system law verified up to %d" % args.max)
-        elif args.what == "psi":
-            chain = Chain(tuple(_ints(args.chain)))
-            expr = parse(O_INF, args.expr)
-            verify_psi(chain, expr, corrupt=args.corrupt)
-            print("psi image coherent on chain %s" % _ints(args.chain))
-        elif args.what == "decomposition":
-            verify_decomposition(args.n, args.max_len, corrupt=args.corrupt)
-            print("decomposition verified for n=%d up to length %d"
-                  % (args.n, args.max_len))
-        elif args.what == "uhf":
-            verify_uhf(args.r, args.depth, corrupt=args.corrupt)
-            print("uhf chain verified for r=%d depth %d" % (args.r, args.depth))
-        elif args.what == "state":
-            verify_state(args.max, corrupt=args.corrupt)
-            print("state compatibility verified up to %d" % args.max)
+        args.suite(args)
     except Refuted as exc:
         print("REFUTED: %s" % exc)
         return 1
+    print(args.done(args))
     return 0
 
 
@@ -331,27 +166,32 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = ver.add_subparsers(dest="what", required=True)
     p = vsub.add_parser("inverse-system")
     p.add_argument("--max", type=int, default=24)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(suite=lambda a: verify_inverse_system(a.max, corrupt=a.corrupt),
+                   done=lambda a: "inverse-system law verified up to %d" % a.max)
     p = vsub.add_parser("psi")
     p.add_argument("--chain", required=True)
     p.add_argument("--expr", required=True)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(suite=lambda a: verify_psi(Chain(tuple(_ints(a.chain))),
+                                              parse(O_INF, a.expr), corrupt=a.corrupt),
+                   done=lambda a: "psi image coherent on chain %s" % _ints(a.chain))
     p = vsub.add_parser("decomposition")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(suite=lambda a: verify_decomposition(a.n, a.max_len, corrupt=a.corrupt),
+                   done=lambda a: "decomposition verified for n=%d up to length %d"
+                   % (a.n, a.max_len))
     p = vsub.add_parser("uhf")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(suite=lambda a: verify_uhf(a.r, a.depth, corrupt=a.corrupt),
+                   done=lambda a: "uhf chain verified for r=%d depth %d" % (a.r, a.depth))
     p = vsub.add_parser("state")
     p.add_argument("--max", type=int, default=12)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(suite=lambda a: verify_state(a.max, corrupt=a.corrupt),
+                   done=lambda a: "state compatibility verified up to %d" % a.max)
+    for p in vsub.choices.values():
+        p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
+        p.set_defaults(func=_cmd_verify)
 
     pos = sub.add_parser("poset", help="divisibility poset outputs")
     psub = pos.add_subparsers(dest="poset_command", required=True)

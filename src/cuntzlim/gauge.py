@@ -9,6 +9,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .algebra import AlgebraError, Element, Word
 from .homs import GenHom, apply, compose, q, rn, validate_prefix_code
 
+# q(2, 4), the last map of `verify uhf --r 2 --depth 5`, has 2^16 generators
+UHF_MAX_GENS = 2 ** 16
+
 
 def is_gauge_invariant(e: Element) -> bool:
     """Fixed under the circle action: every monomial has |J| = |K|."""
@@ -104,9 +107,15 @@ def uhf_chain_check(r: int, depth: int, max_len: int = 12, grade_range: int = 6,
     by default q(r, n)), pushes their images down to O_r, and records block
     membership, grade doubling, and the graded vanishing pattern.  A level's
     map is a valid *-hom exactly when its image words form a maximal prefix
-    code, so that certificate is the one check of each level."""
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
+    code, so that certificate is the one check of each level.  It reads every
+    image word, so a depth whose last map has more than UHF_MAX_GENS
+    generators raises ValueError before any level is built."""
+    if depth < 2 or r < 2:
+        raise ValueError("need r >= 2 and depth >= 2")
+    # level by level: rn(r, depth) itself may have astronomically many digits
+    if any(rn(r, n + 1) > UHF_MAX_GENS for n in range(1, depth)):
+        raise ValueError("depth %d is too deep: q(%d, %d) has more than %d generators"
+                         % (depth, r, depth - 1, UHF_MAX_GENS))
     maps = maps or (lambda n: q(r, n))
     levels = []
     push = None  # composed map A_{r,n+1} -> A_{r,1}

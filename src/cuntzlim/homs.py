@@ -1,13 +1,14 @@
 """Generator-defined *-homomorphisms between Cuntz algebras.
 
 A hom is a rule for its generator images, run on first use.  make_hom
-validates it symbolically: f(s_i)* f(s_j) = delta_ij I for all pairs, and
-sum_i f(s_i) f(s_i)* = I for finite domains; an O_inf domain is checked on
-its first INF_VALIDATION_GENS generators.  The built-in families f, f_inf
-and q send every generator to one isometry word and are built unvalidated:
-for such a word hom the relations hold exactly when the image words form a
-maximal prefix code (prefix-free, Kraft sum 1), an exact certificate that
-validate_prefix_code(h.image_words(), ...) checks in linear time.
+always validates it symbolically: f(s_i)* f(s_j) = delta_ij I for all
+pairs, and sum_i f(s_i) f(s_i)* = I for finite domains; an O_inf domain is
+checked on its first INF_VALIDATION_GENS generators.  The families f, f_inf
+and q are built as bare GenHoms; they send every generator to one isometry
+word, and for such a word hom the relations hold exactly when the image
+words form a maximal prefix code (prefix-free, Kraft sum 1), an exact
+certificate that validate_prefix_code(h.image_words(), ...) checks in
+linear time.  compose validates only when asked.
 """
 from __future__ import annotations
 
@@ -139,16 +140,14 @@ def _validate(h: GenHom) -> None:
             )
 
 
-def make_hom(domain: AlgebraTag, codomain: AlgebraTag, images,
-             validate: bool = True) -> GenHom:
+def make_hom(domain: AlgebraTag, codomain: AlgebraTag, images) -> GenHom:
     h = GenHom(domain, codomain, images)
-    if validate:
-        _validate(h)
+    _validate(h)
     return h
 
 
 def identity(tag: AlgebraTag) -> GenHom:
-    return make_hom(tag, tag, lambda k: mono(tag, (k,)), validate=False)
+    return GenHom(tag, tag, lambda k: mono(tag, (k,)))
 
 
 def apply(h: GenHom, e: Element) -> Element:
@@ -172,8 +171,8 @@ def compose(outer: GenHom, inner: GenHom, validate: bool = True) -> GenHom:
             "algebra mismatch: inner codomain %s vs outer domain %s"
             % (inner.codomain, outer.domain)
         )
-    return make_hom(inner.domain, outer.codomain,
-                    lambda k: apply(outer, inner.image(k)), validate=validate)
+    build = make_hom if validate else GenHom
+    return build(inner.domain, outer.codomain, lambda k: apply(outer, inner.image(k)))
 
 
 def _block_rule(n: int, cod: AlgebraTag) -> Callable[[int], Element]:
@@ -198,9 +197,8 @@ def f(n: int, m: int) -> GenHom:
     cod = AlgebraTag(n + 1)
     block = _block_rule(n, cod)
     last = (n + 1,) * (m // n)
-    return make_hom(AlgebraTag(m + 1), cod,
-                    lambda k: block(k) if k <= m else mono(cod, last),
-                    validate=False)
+    return GenHom(AlgebraTag(m + 1), cod,
+                  lambda k: block(k) if k <= m else mono(cod, last))
 
 
 def f_inf(n: int) -> GenHom:
@@ -208,7 +206,7 @@ def f_inf(n: int) -> GenHom:
     if n < 1:
         raise HomError("n must be positive")
     cod = AlgebraTag(n + 1)
-    return make_hom(O_INF, cod, _block_rule(n, cod), validate=False)
+    return GenHom(O_INF, cod, _block_rule(n, cod))
 
 
 def rn(r: int, n: int) -> int:
@@ -227,7 +225,7 @@ def q(r: int, n: int) -> GenHom:
         i, j = divmod(k - 1, size)
         return mono(cod, (i + 1, j + 1))
 
-    return make_hom(AlgebraTag(size * size), cod, rule, validate=False)
+    return GenHom(AlgebraTag(size * size), cod, rule)
 
 
 def hom_exists(m_gens: Union[int, float, None], n_gens: Union[int, float, None]) -> bool:

@@ -5,7 +5,7 @@ monomial that is not supported on the first generator."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     AlgebraError,
@@ -16,7 +16,7 @@ from .algebra import (
 )
 from .homs import apply, f, f_inf
 from .poset import Chain
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ONE, ZERO
 
 O2 = O(2)
 
@@ -122,11 +122,11 @@ def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
     w = tuple(w)
     if w == ():
         return (), 0
-    kind, parts = decompose_word(n, w)
-    if kind == "L_inf":
-        return w, 0
-    x, u = parts
-    return x, len(u) // n
+    _check_sgword(w)
+    t = _trailing_two_run(w)
+    if t % n:
+        raise ValueError("word %r is not in L_%d" % (w, n))
+    return w[: len(w) - t], t // n
 
 
 def is_q_inf_shape(left: Word, right: Word) -> bool:
@@ -155,33 +155,13 @@ def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element
     left, right = tuple(left), tuple(right)
     x, a = _split_ln(n, left)
     y, b = _split_ln(n, right)
-    q_terms: Dict[Tuple[Word, Word], GaussianRational] = {}
-    v_terms: Dict[Tuple[Word, Word], GaussianRational] = {}
-    vs_terms: Dict[Tuple[Word, Word], GaussianRational] = {}
-    one = GaussianRational.of(1)
-
-    def put(tbl, l, r, c):
-        key = (l, r)
-        tbl[key] = tbl.get(key, ZERO) + c
-
-    if a == 0 and b == 0:
-        put(q_terms, left, right, one)
-    elif b == 0:
-        put(v_terms, left, right, one)
-    elif a == 0:
-        put(vs_terms, left, right, one)
-    else:
-        c = min(a, b)
-        lrem = x + (2,) * ((a - c) * n)
-        rrem = y + (2,) * ((b - c) * n)
-        if a > b:
-            put(v_terms, lrem, rrem, one)
-        elif a < b:
-            put(vs_terms, lrem, rrem, one)
-        else:
-            put(q_terms, lrem, rrem, one)
-        for k in range(c * n):
-            put(q_terms, lrem + (2,) * k + (1,), rrem + (2,) * k + (1,), -one)
+    c = min(a, b)  # 0 unless the monomial is mixed
+    lrem = x + (2,) * ((a - c) * n)
+    rrem = y + (2,) * ((b - c) * n)
+    q_terms, v_terms, vs_terms = [], [], []
+    (v_terms if a > b else vs_terms if a < b else q_terms).append(((lrem, rrem), ONE))
+    q_terms.extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), -ONE)
+                   for k in range(c * n))
     return (Element(O2, q_terms), Element(O2, v_terms), Element(O2, vs_terms))
 
 

@@ -41,7 +41,7 @@ from cuntzlim import (
     validate_prefix_code,
     zero,
 )
-from cuntzlim.cli import verify_decomposition, verify_inverse_system
+from cuntzlim.verify import verify_decomposition, verify_inverse_system
 from cuntzlim.limits import decompose_word, is_q_inf_shape, is_v_shape, is_vstar_shape
 from cuntzlim.algebra import Element, adjoint, multiply
 

@@ -91,3 +91,24 @@ def test_uhf_chain_check_fails_a_level_without_word_images():
 def test_uhf_chain_check_depth_guard():
     with pytest.raises(ValueError):
         uhf_chain_check(2, 1)
+    with pytest.raises(ValueError):
+        uhf_chain_check(1, 10**6)
+
+
+def test_uhf_chain_check_refuses_depths_past_the_generator_bound():
+    class LevelBuilt(Exception):
+        pass
+
+    def first_level(n):
+        raise LevelBuilt
+
+    # q(3, 4) has 3^16 generators: refused before level 1 is built
+    with pytest.raises(ValueError, match="too deep"):
+        uhf_chain_check(3, 5, maps=first_level)
+    # q(2, 4) has exactly 2^16: the check goes on to build level 1
+    with pytest.raises(LevelBuilt):
+        uhf_chain_check(2, 5, maps=first_level)
+    # rn(2, 10**6) has about 2^999999 bits: the bound is compared level by
+    # level, so the refusal is immediate
+    with pytest.raises(ValueError, match="too deep"):
+        uhf_chain_check(2, 10**6)

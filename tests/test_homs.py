@@ -157,10 +157,10 @@ def test_prefix_code_validation():
 def test_invalid_word_images_rejected():
     # images {s1, s2 s1} are prefix-free but not maximal: relations fail
     with pytest.raises(HomError):
-        make_hom(O(2), O(2), [mono(O(2), (1,)), mono(O(2), (2, 1))], validate=True)
+        make_hom(O(2), O(2), [mono(O(2), (1,)), mono(O(2), (2, 1))])
     # overlapping images break isometry orthogonality
     with pytest.raises(HomError):
-        make_hom(O(2), O(2), [mono(O(2), (1,)), mono(O(2), (1, 2))], validate=True)
+        make_hom(O(2), O(2), [mono(O(2), (1,)), mono(O(2), (1, 2))])
 
 
 def _maximal_codes(rng, n, count):
@@ -225,3 +225,12 @@ def test_hom_exists_divisibility_rule():
 def test_compose_tag_mismatch():
     with pytest.raises(Exception):
         compose(f(1, 2), f(1, 4), validate=False)
+
+
+def test_compose_validates_only_when_asked():
+    # overlapping images s1, s1 s2 break orthogonality; GenHom does not check
+    bad = GenHom(O(2), O(2), [mono(O(2), (1,)), mono(O(2), (1, 2))])
+    with pytest.raises(HomError):
+        compose(identity(O(2)), bad)
+    c = compose(identity(O(2)), bad, validate=False)
+    assert c.image_words() == [(1,), (1, 2)]

@@ -88,6 +88,13 @@ def test_L_splits_as_disjoint_union():
 def test_decompose_word_rejects_nonmembers():
     with pytest.raises(ValueError):
         decompose_word(2, (2, 2, 2))
+    # classify_monomial rejects the same words, and letters other than 1, 2
+    for left, right in [((2, 2, 2), ()), ((), (1, 2))]:
+        with pytest.raises(ValueError, match="not in L_2"):
+            classify_monomial(2, left, right)
+    for left, right in [((3, 1), ()), ((1,), (1, 3))]:
+        with pytest.raises(ValueError, match="letters 1 and 2"):
+            classify_monomial(2, left, right)
 
 
 def test_shape_predicates_disjoint():

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cuntzlim
 from cuntzlim import O, O_INF, ParseError, equals, gen, mono, parse, render, unit, zero
 from cuntzlim.cli import main
 
@@ -77,6 +79,15 @@ def run(*argv):
     return rc, buf.getvalue()
 
 
+def run_process(*argv, timeout=None):
+    """The CLI in a child process that imports the same package as the tests."""
+    src = os.path.dirname(os.path.dirname(cuntzlim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "cuntzlim.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_cli_normalize():
     rc, out = run("normalize", "--algebra", "O2", "s1 s1' + s2 s2'")
     assert rc == 0 and out.strip() == "I"
@@ -100,22 +111,26 @@ def test_cli_hom_apply():
 
 def test_cli_hom_apply_builds_only_needed_images():
     # q(2,5) has 2^32 generators; only generators 1 and 7 are built
-    proc = subprocess.run(
-        [sys.executable, "-m", "cuntzlim.cli", "hom", "apply", "--family", "q",
-         "--args", "2,5", "s1 s7'"],
-        capture_output=True, text=True, timeout=10,
-    )
+    proc = run_process("hom", "apply", "--family", "q", "--args", "2,5", "s1 s7'", timeout=10)
     assert proc.returncode == 0 and proc.stdout.strip() == "s1 s1 s7' s1'"
 
 
 def test_cli_verify_uhf_checks_each_level_by_its_certificate():
     # q(3, 3) has 3^8 generators: comparing all pairs of their images would
     # not finish, checking the prefix-code certificate is linear
-    cmd = [sys.executable, "-m", "cuntzlim.cli", "verify", "uhf", "--r", "3", "--depth", "4"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=20)
+    cmd = ["verify", "uhf", "--r", "3", "--depth", "4"]
+    proc = run_process(*cmd, timeout=20)
     assert proc.returncode == 0 and "verified" in proc.stdout
-    proc = subprocess.run(cmd + ["--corrupt"], capture_output=True, text=True, timeout=20)
+    proc = run_process(*cmd, "--corrupt", timeout=20)
     assert proc.returncode == 1 and "failed at levels" in proc.stdout
+
+
+def test_cli_verify_uhf_past_the_generator_bound_exits_2():
+    # q(2, 5) has 2^32 generators and q(3, 4) has 3^16: both are refused
+    # before any level is built instead of running without end
+    for r, depth in (("2", "6"), ("3", "5")):
+        proc = run_process("verify", "uhf", "--r", r, "--depth", depth, timeout=10)
+        assert proc.returncode == 2 and "too deep" in proc.stderr and proc.stdout == ""
 
 
 def test_cli_verify_suites():
@@ -166,6 +181,13 @@ def test_cli_usage_errors(capsys):
         assert main(["verify", "decomposition", "--n", n]) == 2
         assert "n must be >= 1" in capsys.readouterr().err
     assert main(["verify", "psi", "--chain", "2", "--expr", "s1", "--corrupt"]) == 2
+    # parameters that decide no case are usage errors, not empty verdicts
+    for argv in (["inverse-system", "--max", "0"], ["inverse-system", "--max", "-3"],
+                 ["state", "--max", "0"]):
+        assert main(["verify"] + argv) == 2
+        assert "max must be >= 1" in capsys.readouterr().err
+    assert main(["verify", "psi", "--chain", "4", "--expr", "s1"]) == 2
+    assert "at least two elements" in capsys.readouterr().err
     assert main(["normalize", "--algebra", "O2", "s9"]) == 2
     assert main(["hom", "apply", "--family", "f", "--args", "2,3", "s1"]) == 2
     assert main(["hom", "apply", "--family", "f", "--args", "2", "s1"]) == 2
@@ -174,9 +196,5 @@ def test_cli_usage_errors(capsys):
 
 
 def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cuntzlim.cli", "normalize", "--algebra", "O3", "s1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_process("normalize", "--algebra", "O3", "s1")
     assert proc.returncode == 0 and proc.stdout.strip() == "s1"
