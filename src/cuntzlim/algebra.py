@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .scalars import GaussianRational, ONE, Rationalish
 
@@ -174,14 +174,22 @@ def _mul_key(a: Key, b: Key) -> Optional[Key]:
     return None
 
 
+def pair_products(
+    a: Iterable[Tuple[Key, GaussianRational]], b: Iterable[Tuple[Key, GaussianRational]]
+) -> Iterator[Tuple[Key, GaussianRational]]:
+    """The nonzero products of the (key, coefficient) pairs of a with those
+    of b, uncombined; `b` is read once per pair of a, so pass a collection."""
+    return (
+        (key, ca * cb)
+        for ka, ca in a
+        for kb, cb in b
+        if (key := _mul_key(ka, kb)) is not None
+    )
+
+
 def multiply(a: Element, b: Element) -> Element:
     _check_tags(a, b)
-    return Element(a.tag, (
-        (key, ca * cb)
-        for ka, ca in a.terms.items()
-        for kb, cb in b.terms.items()
-        if (key := _mul_key(ka, kb)) is not None
-    ))
+    return Element(a.tag, pair_products(a.terms.items(), b.terms.items()))
 
 
 def adjoint(e: Element) -> Element:

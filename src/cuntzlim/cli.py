@@ -26,6 +26,10 @@ from .verify import (
 )
 
 
+# `partition --chain 1,13` draws rows of 6 * 2^13 = 49152 characters
+PARTITION_MAX_WIDTH = 2 ** 16
+
+
 def _tag(text: str) -> AlgebraTag:
     text = text.strip()
     if text in ("Oinf", "OINF", "O_inf", "Ooo"):
@@ -103,12 +107,21 @@ def _cmd_partition(args) -> int:
 def render_partition(chain: Chain) -> str:
     """Embeddings as refinements of a unit-interval partition: row k splits
     [0,1] into the ranges of the generators of R_{n_k}, positioned by their
-    image words in the top algebra R_{n_1}."""
+    image words in the top algebra R_{n_1}.  Rows are cell_w * (n_1 + 1)^L
+    characters wide, L the longest image word; a chain whose rows would be
+    wider than PARTITION_MAX_WIDTH raises ValueError before any word is
+    built."""
     n1 = chain[0]
     base = n1 + 1
-    words = [f(n1, nk).image_words() for nk in chain]
-    max_len = max(len(w) for ws in words for w in ws)
+    homs = [f(n1, nk) for nk in chain]
+    # f(n, m) sends generator m+1 to (s_{n+1})^{m/n}, its longest image word
+    max_len = chain[-1] // n1
     cell_w = 6
+    if cell_w * base ** max_len > PARTITION_MAX_WIDTH:
+        raise ValueError("chain %s is too wide to draw: rows of %d * %d^%d characters"
+                         " exceed %d" % (list(chain), cell_w, base, max_len,
+                                         PARTITION_MAX_WIDTH))
+    words = [h.image_words() for h in homs]
     rows = []
     for nk, ws in zip(chain, words):
         segs = []

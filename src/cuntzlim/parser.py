@@ -9,15 +9,28 @@ Grammar (precedence: adjoint > product > sum):
 
 Generators are written s1, s2, ...; rationals as p or p/q; i is the
 imaginary unit.  Rendered elements reparse to structurally equal elements.
+
+The parser evaluates to lists of raw (key, coefficient) pairs.  Terms
+combine and reach the canonical form only where an Element is built: once
+per parenthesised group, once for each product of two operands that both
+have several terms (so a run of such products never grows past its
+canonical size), and once for the whole expression.  Groups nest at most
+MAX_NESTING deep, so deep input is refused before it can exhaust the stack.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
-from .algebra import AlgebraTag, Element, adjoint, add, multiply, scale, unit, mono
-from .scalars import IMAG
+from .algebra import EPS, AlgebraError, AlgebraTag, Element, Key, pair_products
+from .scalars import IMAG, ONE, GaussianRational
+
+# each level takes four parser frames; 100 levels stay far inside the
+# interpreter's default recursion limit of 1000
+MAX_NESTING = 100
+
+Pairs = List[Tuple[Key, GaussianRational]]
 
 
 class ParseError(ValueError):
@@ -47,12 +60,21 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
+def _scalar(c: GaussianRational) -> Pairs:
+    return [((EPS, EPS), c)]
+
+
+def _negated(pairs: Pairs) -> Pairs:
+    return [(key, -c) for key, c in pairs]
+
+
 class _Parser:
     def __init__(self, tag: AlgebraTag, tokens, end: int):
         self.tag = tag
         self.tokens = tokens
         self.end = end  # position reported for the end of input
         self.i = 0
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
@@ -62,57 +84,72 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> Element:
-        sign = 1
-        if self.peek()[:2] == ("op", "-"):
+    def canonical(self, pairs: Iterable[Tuple[Key, GaussianRational]]) -> Pairs:
+        return list(Element(self.tag, pairs).terms.items())
+
+    def expr(self) -> Pairs:
+        negate = self.peek()[:2] == ("op", "-")
+        if negate:
             self.take()
-            sign = -1
-        acc = scale(sign, self.term())
+        acc = self.term()
+        if negate:
+            acc = _negated(acc)
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op, _ = self.take()
             rhs = self.term()
-            acc = add(acc, scale(1 if op == "+" else -1, rhs))
+            acc += rhs if op == "+" else _negated(rhs)
         return acc
 
-    def term(self) -> Element:
+    def term(self) -> Pairs:
         acc = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = multiply(acc, self.factor())
-            elif kind in ("gen", "rat", "imag", "unit") or (kind == "op" and val == "("):
-                acc = multiply(acc, self.factor())
-            else:
+            elif not (kind in ("gen", "rat", "imag", "unit") or (kind == "op" and val == "(")):
                 return acc
+            rhs = self.factor()
+            products = pair_products(acc, rhs)
+            if len(acc) > 1 and len(rhs) > 1:
+                acc = self.canonical(products)
+            else:
+                acc = list(products)
 
-    def factor(self) -> Element:
-        e = self.atom()
+    def factor(self) -> Pairs:
+        pairs = self.atom()
         while self.peek()[:2] == ("op", "'"):
             self.take()
-            e = adjoint(e)
-        return e
+            pairs = [((r, l), c.conjugate()) for (l, r), c in pairs]
+        return pairs
 
-    def atom(self) -> Element:
+    def atom(self) -> Pairs:
         kind, val, pos = self.take()
         if kind == "gen":
             k = int(val[1:])
             try:
-                return mono(self.tag, (k,))
-            except ValueError as exc:
+                self.tag.check_index(k)
+            except AlgebraError as exc:
                 raise ParseError(str(exc), pos)
+            return [(((k,), EPS), ONE)]
         if kind == "unit":
-            return unit(self.tag)
+            return _scalar(ONE)
         if kind == "imag":
-            return scale(IMAG, unit(self.tag))
+            return _scalar(IMAG)
         if kind == "rat":
-            return scale(Fraction(val), unit(self.tag))
+            try:
+                return _scalar(GaussianRational.of(Fraction(val)))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator in %s" % val, pos)
         if kind == "op" and val == "(":
-            e = self.expr()
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
+            self.depth += 1
+            pairs = self.canonical(self.expr())
             if self.peek()[:2] != ("op", ")"):
                 raise ParseError("expected ')'", self.peek()[2])
             self.take()
-            return e
+            self.depth -= 1
+            return pairs
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError("unexpected token %r" % (val,), pos)
@@ -122,10 +159,10 @@ def parse(tag: AlgebraTag, text: str) -> Element:
     if not text.strip():
         raise ParseError("empty expression", 0)
     p = _Parser(tag, _tokenize(text), len(text))
-    e = p.expr()
+    pairs = p.expr()
     if p.i != len(p.tokens):
         raise ParseError("trailing input %r" % (p.peek()[1],), p.peek()[2])
-    return e
+    return Element(tag, pairs)
 
 
 def _render_mono(left, right) -> str:

@@ -1,12 +1,18 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import cuntzlim
-from cuntzlim import O, O_INF, ParseError, equals, gen, mono, parse, render, unit, zero
-from cuntzlim.cli import main
+from cuntzlim import (
+    IMAG, O, O_INF, GenHom, ParseError, equals, gen, mono, parse, render, unit, zero,
+)
+from cuntzlim.algebra import add, adjoint, multiply, scale
+from cuntzlim.cli import main, render_partition
+from cuntzlim.parser import MAX_NESTING
+from cuntzlim.poset import Chain
 
 O2 = O(2)
 
@@ -49,6 +55,87 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="end of input") as exc:
         parse(O2, "s1 +")
     assert exc.value.pos == 4
+    for bad, pos in (("1/0 s1", 0), ("s1 + 0/0", 5)):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse(O2, bad)
+        assert exc.value.pos == pos
+
+
+def nested(depth):
+    return "(" * depth + "s1" + ")" * depth
+
+
+def test_parse_refuses_deep_nesting():
+    assert parse(O2, nested(MAX_NESTING)) == gen(O2, 1)
+    # the bound is the constant, not the interpreter's recursion limit
+    limit = sys.getrecursionlimit()
+    try:
+        for raised in (limit, 100 * limit):
+            sys.setrecursionlimit(raised)
+            for depth in (MAX_NESTING + 1, 3000):
+                with pytest.raises(ParseError, match="nested deeper") as exc:
+                    parse(O2, nested(depth))
+                assert exc.value.pos == MAX_NESTING
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def random_expression(rng, tag, depth=2):
+    """(text, element) of a random expression tree: sums with a leading
+    minus, products of generators, I, i, rationals and parenthesised sums,
+    adjoints on atoms and groups.  The element is built from the same tree
+    with multiply, add, adjoint and scale."""
+    n = tag.ngens if tag.is_finite else 6
+
+    def atom(d):
+        roll = rng.randrange(7 if d else 5)
+        if roll == 0:
+            return "I", unit(tag)
+        if roll == 1:
+            return "i", scale(IMAG, unit(tag))
+        if roll == 2:
+            p, q = rng.randint(0, 5), rng.randint(1, 4)
+            text = "%d/%d" % (p, q) if q > 1 or rng.random() < 0.5 else str(p)
+            return text, scale(Fraction(p, q), unit(tag))
+        if roll >= 5:
+            text, e = expr(d - 1)
+            return "(%s)" % text, e
+        k = rng.randint(1, n)
+        return "s%d" % k, gen(tag, k)
+
+    def factor(d):
+        text, e = atom(d)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            text, e = text + "'", adjoint(e)
+        return text, e
+
+    def term(d):
+        text, e = factor(d)
+        for _ in range(rng.randint(0, 2)):
+            t, g = factor(d)
+            text, e = text + rng.choice((" ", " * ")) + t, multiply(e, g)
+        return text, e
+
+    def expr(d):
+        text, e = term(d)
+        if rng.random() < 0.3:
+            text, e = "-" + text, scale(-1, e)
+        for _ in range(rng.randint(0, 2)):
+            t, g = term(d)
+            if rng.random() < 0.5:
+                text, e = text + " + " + t, add(e, g)
+            else:
+                text, e = text + " - " + t, add(e, scale(-1, g))
+        return text, e
+
+    return expr(depth)
+
+
+def test_parse_matches_the_element_built_from_the_same_tree(rng):
+    for tag in (O2, O(3), O(5), O_INF):
+        for _ in range(60):
+            text, want = random_expression(rng, tag)
+            assert parse(tag, text) == want, text
 
 
 def test_render_parse_round_trip(rng):
@@ -79,11 +166,11 @@ def run(*argv):
     return rc, buf.getvalue()
 
 
-def run_process(*argv, timeout=None):
+def run_process(*argv, timeout=None, module="cuntzlim.cli"):
     """The CLI in a child process that imports the same package as the tests."""
     src = os.path.dirname(os.path.dirname(cuntzlim.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "cuntzlim.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -91,6 +178,18 @@ def run_process(*argv, timeout=None):
 def test_cli_normalize():
     rc, out = run("normalize", "--algebra", "O2", "s1 s1' + s2 s2'")
     assert rc == 0 and out.strip() == "I"
+
+
+def test_cli_normalize_products_of_sums_stay_small():
+    # each product of two sums is canonicalised at once: P = (s1 + s2)(s1' + s2')
+    # = I + s1 s2' + s2 s1' has P^2 = 2P, where multiplying out would give 2^60 terms
+    p = multiply(gen(O2, 1) + gen(O2, 2), gen(O2, 1).star() + gen(O2, 2).star())
+    want = p
+    for _ in range(29):
+        want = multiply(want, p)
+    assert want == scale(2 ** 29, p)
+    proc = run_process("normalize", "--algebra", "O2", "(s1 + s2)(s1' + s2')" * 30, timeout=10)
+    assert proc.returncode == 0 and proc.stdout == render(want) + "\n"
 
 
 def test_cli_equals_exit_codes():
@@ -173,6 +272,26 @@ def test_cli_partition():
     lines = out.splitlines()
     assert len(lines) == 3 and lines[0].startswith("O2")
     assert all(len(l) == len(lines[0]) for l in lines)
+    assert len(render_partition(Chain((1, 13))).splitlines()[0]) > 6 * 2 ** 13
+    with pytest.raises(ValueError, match="too wide"):
+        render_partition(Chain((1, 14)))
+
+
+def test_partition_refuses_wide_chains_before_building_words(monkeypatch):
+    # f(1, 10^6) has 10^6 + 1 generators with words up to 10^6 letters long
+    def refuse(h):
+        raise AssertionError("image words built")
+
+    monkeypatch.setattr(GenHom, "image_words", refuse)
+    for chain in ((1, 40), (1, 10 ** 6), (1000, 2000)):
+        with pytest.raises(ValueError, match="too wide"):
+            render_partition(Chain(chain))
+
+
+def test_cli_partition_too_wide_exits_2():
+    # rows of 6 * 2^40 characters are refused before any row is drawn
+    proc = run_process("partition", "--chain", "1,40", timeout=10)
+    assert proc.returncode == 2 and "too wide" in proc.stderr and proc.stdout == ""
 
 
 def test_cli_usage_errors(capsys):
@@ -189,6 +308,10 @@ def test_cli_usage_errors(capsys):
     assert main(["verify", "psi", "--chain", "4", "--expr", "s1"]) == 2
     assert "at least two elements" in capsys.readouterr().err
     assert main(["normalize", "--algebra", "O2", "s9"]) == 2
+    assert main(["normalize", "--algebra", "O2", "1/0 s1"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+    assert main(["normalize", "--algebra", "O2", nested(3000)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
     assert main(["hom", "apply", "--family", "f", "--args", "2,3", "s1"]) == 2
     assert main(["hom", "apply", "--family", "f", "--args", "2", "s1"]) == 2
     assert main(["hom", "apply", "--family", "finf", "--args", "2,3", "s1"]) == 2
@@ -198,3 +321,10 @@ def test_cli_usage_errors(capsys):
 def test_console_script_installed():
     proc = run_process("normalize", "--algebra", "O3", "s1")
     assert proc.returncode == 0 and proc.stdout.strip() == "s1"
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = ("equals", "--algebra", "O2", "s1", "s2")
+    proc = run_process(*argv, module="cuntzlim")
+    assert proc.returncode == 1 and proc.stdout.startswith("not equal")
+    assert proc.stdout == run_process(*argv).stdout
