@@ -10,6 +10,8 @@ O_inf the reduced monomials themselves are linearly independent.  Equal
 elements therefore have equal term tables, so `equals`, `==` and `hash`
 agree.  All operations are pure; elements are immutable by convention (term
 tables are never mutated after construction).
+Words are checked where they enter, by `mono`, `gen` and `parser.parse`;
+`Element` and the operations build only from checked words and trust them.
 """
 from __future__ import annotations
 
@@ -72,7 +74,8 @@ class Element:
 
     The constructor is the one place where like terms combine and the
     canonical form is reached (see normalize); the term table never stores
-    zero coefficients.
+    zero coefficients.  It trusts its words: input from outside goes
+    through `mono`, `gen` or `parser.parse`, which check them.
     """
 
     __slots__ = ("tag", "terms")
@@ -89,8 +92,6 @@ class Element:
         for key, c in terms.items() if hasattr(terms, "items") else terms:
             s = table.get(key)
             if s is None:
-                tag.check_word(key[0])
-                tag.check_word(key[1])
                 s = GaussianRational.of(c)
             else:
                 s = s + c
@@ -149,12 +150,14 @@ def unit(tag: AlgebraTag) -> Element:
     return Element(tag, {(EPS, EPS): ONE})
 
 def gen(tag: AlgebraTag, i: int) -> Element:
-    tag.check_index(i)
-    return Element(tag, {((i,), EPS): ONE})
+    return mono(tag, (i,))
 
 def mono(tag: AlgebraTag, left: Iterable[int], right: Iterable[int] = (),
          c: Rationalish = 1) -> Element:
-    return Element(tag, {(tuple(left), tuple(right)): GaussianRational.of(c)})
+    left, right = tuple(left), tuple(right)
+    tag.check_word(left)
+    tag.check_word(right)
+    return Element(tag, {(left, right): GaussianRational.of(c)})
 
 
 def _check_tags(a: Element, b: Element) -> None:

@@ -11,6 +11,10 @@ from .homs import GenHom, apply, compose, q, rn, validate_prefix_code
 
 # q(2, 4), the last map of `verify uhf --r 2 --depth 5`, has 2^16 generators
 UHF_MAX_GENS = 2 ** 16
+# the graded vanishing pattern is checked for grades |l| <= UHF_GRADE_RANGE
+# on monomials whose words have length <= UHF_VANISHING_MAX_LEN
+UHF_GRADE_RANGE = 6
+UHF_VANISHING_MAX_LEN = 12
 
 
 def is_gauge_invariant(e: Element) -> bool:
@@ -101,7 +105,7 @@ class UhfChainReport:
     ok: bool
 
 
-def uhf_chain_check(r: int, depth: int, max_len: int = 12, grade_range: int = 6,
+def uhf_chain_check(r: int, depth: int,
                     maps: Optional[Callable[[int], GenHom]] = None) -> UhfChainReport:
     """Checks the squaring maps O_{r_{n+1}} -> O_{r_n} for n < depth (maps(n),
     by default q(r, n)), pushes their images down to O_r, and records block
@@ -133,9 +137,9 @@ def uhf_chain_check(r: int, depth: int, max_len: int = 12, grade_range: int = 6,
     vanishing = {}
     for n in range(1, depth + 1):
         block = 2 ** (n - 1)
-        for l in range(-grade_range, grade_range + 1):
+        for l in range(-UHF_GRADE_RANGE, UHF_GRADE_RANGE + 1):
             if l != 0 and l % block:
-                vanishing[(n, l)] = uhf_graded_vanishing(r, n, l, max_len)
+                vanishing[(n, l)] = uhf_graded_vanishing(r, n, l, UHF_VANISHING_MAX_LEN)
     ok = all(lv.code_maximal and lv.member_ok for lv in levels) and all(
         vanishing.values()
     )

@@ -8,7 +8,8 @@ and q are built as bare GenHoms; they send every generator to one isometry
 word, and for such a word hom the relations hold exactly when the image
 words form a maximal prefix code (prefix-free, Kraft sum 1), an exact
 certificate that validate_prefix_code(h.image_words(), ...) checks in
-linear time.  compose validates only when asked.
+linear time.  compose validates only when asked.  The families write their
+image words from letters of the codomain, so they build them unchecked.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Sequence, Union
 
 from .algebra import (
+    EPS,
     AlgebraError,
     AlgebraTag,
     Element,
@@ -26,13 +28,16 @@ from .algebra import (
     adjoint,
     add,
     equals,
-    mono,
     multiply,
     unit,
     zero,
 )
+from .scalars import ONE
 
 INF_VALIDATION_GENS = 32
+# q(r, n) refuses parameters whose r_n = r^(2^(n-1)) may have more than
+# Q_MAX_BITS bits: r_n of q(2, 40) has 2^39 + 1 of them
+Q_MAX_BITS = 2 ** 16
 
 
 class HomError(ValueError):
@@ -147,7 +152,7 @@ def make_hom(domain: AlgebraTag, codomain: AlgebraTag, images) -> GenHom:
 
 
 def identity(tag: AlgebraTag) -> GenHom:
-    return GenHom(tag, tag, lambda k: mono(tag, (k,)))
+    return GenHom(tag, tag, lambda k: Element(tag, {((k,), EPS): ONE}))
 
 
 def apply(h: GenHom, e: Element) -> Element:
@@ -180,7 +185,7 @@ def _block_rule(n: int, cod: AlgebraTag) -> Callable[[int], Element]:
 
     def rule(k: int) -> Element:
         l, i = divmod(k - 1, n)
-        return mono(cod, (n + 1,) * l + (i + 1,))
+        return Element(cod, {((n + 1,) * l + (i + 1,), EPS): ONE})
 
     return rule
 
@@ -198,7 +203,7 @@ def f(n: int, m: int) -> GenHom:
     block = _block_rule(n, cod)
     last = (n + 1,) * (m // n)
     return GenHom(AlgebraTag(m + 1), cod,
-                  lambda k: block(k) if k <= m else mono(cod, last))
+                  lambda k: block(k) if k <= m else Element(cod, {(last, EPS): ONE}))
 
 
 def f_inf(n: int) -> GenHom:
@@ -218,12 +223,17 @@ def q(r: int, n: int) -> GenHom:
     """The squaring map O_{r_{n+1}} -> O_{r_n}: generator r_n*(i-1)+j -> s_i s_j."""
     if r < 2 or n < 1:
         raise HomError("need r >= 2 and n >= 1")
+    # r_n has at most r.bit_length() << (n - 1) bits; as r >= 2, every n past
+    # Q_MAX_BITS.bit_length() is refused before that shift is taken
+    if n > Q_MAX_BITS.bit_length() or r.bit_length() << (n - 1) > Q_MAX_BITS:
+        raise HomError("q(%d, %d) is too large: r_n = %d^(2^%d) exceeds the bound"
+                       " of %d bits" % (r, n, r, n - 1, Q_MAX_BITS))
     size = rn(r, n)
     cod = AlgebraTag(size)
 
     def rule(k: int) -> Element:
         i, j = divmod(k - 1, size)
-        return mono(cod, (i + 1, j + 1))
+        return Element(cod, {((i + 1, j + 1), EPS): ONE})
 
     return GenHom(AlgebraTag(size * size), cod, rule)
 

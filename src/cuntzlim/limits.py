@@ -105,12 +105,10 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
 
     Returns ("L_inf", None) or ("Y", (x, u)) with w = x + u, u a 2-run."""
     w = tuple(w)
-    if not in_L(n, w):
-        raise ValueError("word %r is not in L_%d" % (w, n))
-    t = _trailing_two_run(w)
-    if t == 0:
-        return ("L_inf", None)
-    return ("Y", (w[: len(w) - t], w[len(w) - t:]))
+    if not w:
+        raise ValueError("word () is not in L_%d" % n)
+    x, a = _split_ln(n, w)
+    return ("Y", (x, w[len(x):])) if a else ("L_inf", None)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +118,6 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
 def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
     """Write w in L_n or empty as x + (2,)*(a*n) with x in L_inf or empty."""
     w = tuple(w)
-    if w == ():
-        return (), 0
     _check_sgword(w)
     t = _trailing_two_run(w)
     if t % n:
@@ -129,15 +125,16 @@ def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
     return w[: len(w) - t], t // n
 
 
+# the shape predicates read words over {1, 2} written by classify_monomial:
+# such a word is empty or in L_inf iff it does not end in 2, and it is so
+# once its maximal trailing 2-run is cut off
 def is_q_inf_shape(left: Word, right: Word) -> bool:
-    return (left == () or in_L_inf(left)) and (right == () or in_L_inf(right))
+    return left[-1:] != (2,) and right[-1:] != (2,)
 
 
 def is_v_shape(n: int, left: Word, right: Word) -> bool:
-    if right != () and not in_L_inf(right):
-        return False
     t = _trailing_two_run(left)
-    return t > 0 and t % n == 0 and (t == len(left) or in_L_inf(left[: len(left) - t]))
+    return right[-1:] != (2,) and t > 0 and t % n == 0
 
 
 def is_vstar_shape(n: int, left: Word, right: Word) -> bool:

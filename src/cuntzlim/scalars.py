@@ -14,14 +14,18 @@ class GaussianRational:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # Fraction(Fraction) builds a new object; arithmetic already hands
+        # over Fractions, so only other values (ints) are converted
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", Fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def of(v: Rationalish) -> "GaussianRational":
         if isinstance(v, GaussianRational):
             return v
-        return GaussianRational(Fraction(v), Fraction(0))
+        return GaussianRational(v, 0)
 
     def __add__(self, other: Rationalish) -> "GaussianRational":
         o = GaussianRational.of(other)

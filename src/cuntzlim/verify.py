@@ -25,6 +25,10 @@ from .parser import render
 from .poset import Chain
 
 
+# verify_state samples monomials whose words have length <= STATE_WORD_LEN
+STATE_WORD_LEN = 3
+
+
 class Refuted(Exception):
     """Verification failure carrying the printed counterexample."""
 
@@ -87,6 +91,8 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     as built."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
+    if max_len < 0:
+        raise ValueError("max-len must be >= 0, got %d" % max_len)
     tag = O(2)
     words = [()] + [
         w
@@ -115,8 +121,8 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
                     raise Refuted("bad V* part monomial in %s" % render(e))
 
 
-def verify_state(max_m: int, word_len: int = 3, samples: int = 500,
-                 corrupt: bool = False, seed: int = 0) -> None:
+def verify_state(max_m: int, samples: int = 500, corrupt: bool = False,
+                 seed: int = 0) -> None:
     """State compatibility omega_n o f(n,m) = omega_m.
 
     Exhaustive over generator letters (which determines the identity on all
@@ -143,8 +149,8 @@ def verify_state(max_m: int, word_len: int = 3, samples: int = 500,
                         " %s vs %s" % (g, m, n, m, lhs, rhs)
                     )
             for _ in range(samples // max(1, max_m)):
-                l = tuple(rng.randint(1, m + 1) for _ in range(rng.randint(0, word_len)))
-                r = tuple(rng.randint(1, m + 1) for _ in range(rng.randint(0, word_len)))
+                l = tuple(rng.randint(1, m + 1) for _ in range(rng.randint(0, STATE_WORD_LEN)))
+                r = tuple(rng.randint(1, m + 1) for _ in range(rng.randint(0, STATE_WORD_LEN)))
                 e = mono(tag_m, l, r)
                 if state_omega(n, apply(h, e)) != state_omega(m, e):
                     raise Refuted(

@@ -3,6 +3,7 @@ import pytest
 from cuntzlim import (
     ONE,
     AlgebraError,
+    AlgebraTag,
     Element,
     O,
     O_INF,
@@ -14,7 +15,9 @@ from cuntzlim import (
     unit,
     zero,
 )
-from cuntzlim.algebra import adjoint, multiply
+from cuntzlim.algebra import add, adjoint, multiply, scale
+from cuntzlim.homs import apply, f
+from cuntzlim.limits import classify_monomial, decompose_element
 
 from oracle import expansion_equal
 
@@ -39,6 +42,34 @@ def test_generator_index_bounds():
     with pytest.raises(AlgebraError):
         gen(O2, 0)
     gen(O_INF, 10 ** 6)
+
+
+def test_mono_rejects_out_of_range_letters():
+    for tag, bad in ((O2, 3), (O2, 0), (O3, 4)):
+        for left, right in (((1, bad), ()), ((1,), (bad, 1))):
+            with pytest.raises(AlgebraError, match="out of range"):
+                mono(tag, left, right)
+
+
+def test_operations_trust_checked_words(monkeypatch):
+    # words are checked where they enter (mono, gen, parse); what the
+    # library builds from checked words is not checked again
+    a = gen(O2, 1) + mono(O2, (2, 1), (1,), 3)
+    b = mono(O2, (1, 2, 2), (2, 2))
+    x = mono(O3, (3, 1), (2,)) + gen(O3, 3)
+    h = f(1, 2)
+    calls = []
+    check = AlgebraTag.check_word
+    monkeypatch.setattr(AlgebraTag, "check_word",
+                        lambda tag, w: calls.append(w) or check(tag, w))
+    multiply(a, b)
+    add(a, b)
+    adjoint(a)
+    scale(2, a)
+    apply(h, x)
+    classify_monomial(2, (1, 2, 2), (2, 2))
+    decompose_element(2, a + b)
+    assert calls == []
 
 
 def test_cuntz_relations():

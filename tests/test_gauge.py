@@ -74,6 +74,9 @@ def test_uhf_chain_check_reports():
         assert [lv.grade_scale for lv in rep.levels] == [2, 4]
         assert all(lv.code_maximal and lv.member_ok for lv in rep.levels)
         assert all(rep.vanishing.values())
+        # every grade 0 < |l| <= 6 that a level's block length does not divide
+        assert set(rep.vanishing) == {(n, l) for n in (1, 2, 3) for l in range(-6, 7)
+                                      if l % 2 ** (n - 1)}
 
 
 def test_uhf_chain_check_fails_a_level_without_word_images():

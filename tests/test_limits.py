@@ -109,6 +109,40 @@ def test_shape_predicates_disjoint():
                 assert sum(flags) <= 1
 
 
+def _letter_checked_in_L_inf(w):
+    if any(a not in (1, 2) for a in w):
+        raise ValueError("semigroup words use letters 1 and 2 only")
+    return len(w) > 0 and w[-1] == 1
+
+
+def _letter_checked_shapes(n, l, r):
+    """The shape predicates as defined with letter-checked L_inf membership."""
+    def q_inf(l, r):
+        return (l == () or _letter_checked_in_L_inf(l)) and (
+            r == () or _letter_checked_in_L_inf(r))
+
+    def v(l, r):
+        if r != () and not _letter_checked_in_L_inf(r):
+            return False
+        t = len(tuple(itertools.takewhile(lambda a: a == 2, reversed(l))))
+        return t > 0 and t % n == 0 and (t == len(l) or _letter_checked_in_L_inf(l[:len(l) - t]))
+
+    return q_inf(l, r), v(l, r), v(r, l)
+
+
+def test_shape_predicates_match_letter_checked_definitions():
+    # every word up to length 8 on each side, against every word up to
+    # length 4 on the other (trailing 2-runs of length n included)
+    words = list(all_words(8, min_len=0))
+    partners = list(all_words(4, min_len=0))
+    for n in (2, 3, 4):
+        for w in words:
+            for p in partners:
+                for l, r in ((w, p), (p, w)):
+                    got = (is_q_inf_shape(l, r), is_v_shape(n, l, r), is_vstar_shape(n, l, r))
+                    assert got == _letter_checked_shapes(n, l, r), (n, l, r)
+
+
 def test_range_projection_identity():
     # t2^n t2*^n = I - sum_{k<n} t2^k t1 t1* t2*^k
     for n in range(1, 9):

@@ -214,6 +214,13 @@ def test_cli_hom_apply_builds_only_needed_images():
     assert proc.returncode == 0 and proc.stdout.strip() == "s1 s1 s7' s1'"
 
 
+def test_cli_hom_apply_refuses_q_whose_r_n_is_too_large():
+    # r_n of q(2, 40) is 2^(2^39): refused before it is computed
+    for args in ("2,40", "2,1000000000"):
+        proc = run_process("hom", "apply", "--family", "q", "--args", args, "s1", timeout=10)
+        assert proc.returncode == 2 and "too large" in proc.stderr and proc.stdout == ""
+
+
 def test_cli_verify_uhf_checks_each_level_by_its_certificate():
     # q(3, 3) has 3^8 generators: comparing all pairs of their images would
     # not finish, checking the prefix-code certificate is linear
@@ -299,6 +306,8 @@ def test_cli_usage_errors(capsys):
     for n in ("0", "-1"):
         assert main(["verify", "decomposition", "--n", n]) == 2
         assert "n must be >= 1" in capsys.readouterr().err
+    assert main(["verify", "decomposition", "--n", "2", "--max-len", "-1"]) == 2
+    assert "max-len must be >= 0" in capsys.readouterr().err
     assert main(["verify", "psi", "--chain", "2", "--expr", "s1", "--corrupt"]) == 2
     # parameters that decide no case are usage errors, not empty verdicts
     for argv in (["inverse-system", "--max", "0"], ["inverse-system", "--max", "-3"],

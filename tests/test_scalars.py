@@ -46,3 +46,10 @@ def test_exactness_no_float_drift():
     for _ in range(3):
         acc = acc + x
     assert acc == ONE
+
+
+def test_int_parts_become_fractions():
+    # ints are converted, so / stays exact instead of returning floats
+    for z in (GaussianRational(1, 2), GaussianRational(1, 0) / GaussianRational(2, 0)):
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z.re == Fraction(1, 2) and z.im == 0
