@@ -17,6 +17,7 @@ from .algebra import (
 )
 from .homs import (
     CodeReport,
+    DigitMap,
     GenHom,
     HomError,
     apply,

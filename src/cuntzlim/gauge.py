@@ -7,10 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import AlgebraError, Element, Word
-from .homs import GenHom, apply, compose, q, rn, validate_prefix_code
-
-# q(2, 4), the last map of `verify uhf --r 2 --depth 5`, has 2^16 generators
-UHF_MAX_GENS = 2 ** 16
+from .homs import GenHom, apply, compose, q, rn
 # the graded vanishing pattern is checked for grades |l| <= UHF_GRADE_RANGE
 # on monomials whose words have length <= UHF_VANISHING_MAX_LEN
 UHF_GRADE_RANGE = 6
@@ -109,30 +106,24 @@ def uhf_chain_check(r: int, depth: int,
                     maps: Optional[Callable[[int], GenHom]] = None) -> UhfChainReport:
     """Checks the squaring maps O_{r_{n+1}} -> O_{r_n} for n < depth (maps(n),
     by default q(r, n)), pushes their images down to O_r, and records block
-    membership, grade doubling, and the graded vanishing pattern.  A level's
-    map is a valid *-hom exactly when its image words form a maximal prefix
-    code, so that certificate is the one check of each level.  It reads every
-    image word, so a depth whose last map has more than UHF_MAX_GENS
-    generators raises ValueError before any level is built."""
+    membership, grade doubling, and the graded vanishing pattern.  Both
+    certificates are read from digit codes, with no image built: a level's map
+    must be a DigitMap (a, L) on O_{a^L}, a uniform full code and so a valid
+    *-hom, and its push composite the DigitMap (r, 2^n) on O_{r^(2^n)}.  A map
+    without a code fails its level.  Depth is bounded by q's Q_MAX_BITS."""
     if depth < 2 or r < 2:
         raise ValueError("need r >= 2 and depth >= 2")
-    # level by level: rn(r, depth) itself may have astronomically many digits
-    if any(rn(r, n + 1) > UHF_MAX_GENS for n in range(1, depth)):
-        raise ValueError("depth %d is too deep: q(%d, %d) has more than %d generators"
-                         % (depth, r, depth - 1, UHF_MAX_GENS))
-    maps = maps or (lambda n: q(r, n))
     levels = []
     push = None  # composed map A_{r,n+1} -> A_{r,1}
     for n in range(1, depth):
-        step = maps(n)
-        words = step.image_words()
-        code_maximal = bool(words) and validate_prefix_code(words, rn(r, n)).maximal
+        # q raises HomError past Q_MAX_BITS, before maps(n) is asked for
+        step = q(r, n)
+        step = maps(n) if maps else step
+        code = step.code
+        code_maximal = code is not None and step.domain.ngens == code[0] ** code[1]
         push = step if push is None else compose(push, step, validate=False)
         scale = 2 ** n
-        pushed = push.image_words()
-        member_ok = bool(pushed) and all(
-            len(w) == scale and uhf_member(r, n + 1, w, ()) for w in pushed
-        )
+        member_ok = push.code == (r, scale) and push.domain.ngens == rn(r, n + 1)
         levels.append(UhfLevelCheck(n, code_maximal, member_ok, scale))
     vanishing = {}
     for n in range(1, depth + 1):

@@ -10,13 +10,16 @@ words form a maximal prefix code (prefix-free, Kraft sum 1), an exact
 certificate that validate_prefix_code(h.image_words(), ...) checks in
 linear time.  compose validates only when asked.  The families write their
 image words from letters of the codomain, so they build them unchecked.
+A DigitMap such as q derives its images from its digit code (a, L).  On
+O_{a^L} it is a bijection onto A^L, a uniform full code and so a maximal
+prefix code, and compose substitutes codes: D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Sequence, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     EPS,
@@ -74,6 +77,7 @@ class GenHom:
     """
 
     __slots__ = ("domain", "codomain", "_rule", "_cache")
+    code: Optional[Tuple[int, int]] = None  # set only by DigitMap
 
     def __init__(
         self,
@@ -176,8 +180,38 @@ def compose(outer: GenHom, inner: GenHom, validate: bool = True) -> GenHom:
             "algebra mismatch: inner codomain %s vs outer domain %s"
             % (inner.codomain, outer.domain)
         )
-    build = make_hom if validate else GenHom
-    return build(inner.domain, outer.codomain, lambda k: apply(outer, inner.image(k)))
+    a, b = outer.code, inner.code
+    if a and b and b[0] == a[0] ** a[1]:
+        h = DigitMap(inner.domain, a[0], a[1] * b[1])
+    else:
+        h = GenHom(inner.domain, outer.codomain, lambda k: apply(outer, inner.image(k)))
+    if validate:
+        _validate(h)
+    return h
+
+
+class DigitMap(GenHom):
+    """The digit code (a, length): generator k goes to the length base-a
+    digits of k - 1, most significant first and each plus 1, as one isometry
+    word of O_a.  The domain may have at most a^length generators."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, domain: AlgebraTag, a: int, length: int):
+        if not domain.is_finite or a < 2 or length < 1 or domain.ngens > a ** length:
+            raise HomError("no digit code (%d, %d) on %s" % (a, length, domain))
+        cod = AlgebraTag(a)
+
+        def rule(k: int) -> Element:
+            k -= 1
+            digits = []
+            for _ in range(length):
+                k, d = divmod(k, a)
+                digits.append(d + 1)
+            return Element(cod, {(tuple(reversed(digits)), EPS): ONE})
+
+        super().__init__(domain, cod, rule)
+        self.code = (a, length)
 
 
 def _block_rule(n: int, cod: AlgebraTag) -> Callable[[int], Element]:
@@ -220,7 +254,8 @@ def rn(r: int, n: int) -> int:
 
 
 def q(r: int, n: int) -> GenHom:
-    """The squaring map O_{r_{n+1}} -> O_{r_n}: generator r_n*(i-1)+j -> s_i s_j."""
+    """The squaring map O_{r_{n+1}} -> O_{r_n}: generator r_n*(i-1)+j -> s_i s_j,
+    the digit map (r_n, 2)."""
     if r < 2 or n < 1:
         raise HomError("need r >= 2 and n >= 1")
     # r_n has at most r.bit_length() << (n - 1) bits; as r >= 2, every n past
@@ -229,13 +264,7 @@ def q(r: int, n: int) -> GenHom:
         raise HomError("q(%d, %d) is too large: r_n = %d^(2^%d) exceeds the bound"
                        " of %d bits" % (r, n, r, n - 1, Q_MAX_BITS))
     size = rn(r, n)
-    cod = AlgebraTag(size)
-
-    def rule(k: int) -> Element:
-        i, j = divmod(k - 1, size)
-        return Element(cod, {((i + 1, j + 1), EPS): ONE})
-
-    return GenHom(AlgebraTag(size * size), cod, rule)
+    return DigitMap(AlgebraTag(size * size), size, 2)
 
 
 def hom_exists(m_gens: Union[int, float, None], n_gens: Union[int, float, None]) -> bool:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Mapping, Sequence, Set, Tuple
-
-from .homs import hom_exists
+from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
 
 TOP = math.inf  # formal top element: every n divides it
+# graphs have at most POSET_MAX vertices, so at most about 10^5 edges: vertex
+# d has fewer than POSET_MAX/d multiples
+POSET_MAX = 10 ** 4
 
 
 def leq(n: int, m) -> bool:
@@ -98,42 +99,34 @@ class Digraph:
         return "\n".join(lines) + "\n"
 
 
-def _transitive_reduction(edges: Set[Tuple[int, int]]) -> Set[Tuple[int, int]]:
-    out = set(edges)
-    for a, b in edges:
-        for c, d in edges:
-            if b == c and (a, d) in out:
-                out.discard((a, d))
-    return out
+def _multiple_edges(top: int, reduce: bool) -> List[Tuple[int, int]]:
+    """Pairs (d, k*d) with k >= 2 and k*d <= top, in sorted order; with
+    reduce=True only those with k prime, the covers of the divisibility order
+    (every multiple of d that divides k*d is at most top)."""
+    if top > POSET_MAX:
+        raise ValueError("a graph on %d vertices is too large: the bound is %d"
+                         % (top, POSET_MAX))
+    prime = [True] * (top + 1)
+    for p in range(2, top + 1):
+        if prime[p]:
+            for m in range(p * p, top + 1, p):
+                prime[m] = False
+    return [(d, k * d) for d in range(1, top + 1) for k in range(2, top // d + 1)
+            if prime[k] or not reduce]
 
 
 def embeddability_edges(max_generators: int, reduce: bool = False) -> List[Tuple[int, int]]:
-    """Edges O_m -> O_n (as generator-count pairs) for unital embeddings;
-    with reduce=True only covering arrows are kept (the Hasse diagram)."""
+    """Edges O_m -> O_n (as generator-count pairs) for unital embeddings,
+    that is (n-1) | (m-1); with reduce=True only covering arrows are kept
+    (the Hasse diagram)."""
     if max_generators < 2:
         raise ValueError("need at least O_2")
-    es = {
-        (m, n)
-        for m in range(2, max_generators + 1)
-        for n in range(2, max_generators + 1)
-        if m != n and hom_exists(m, n)
-    }
-    if reduce:
-        es = _transitive_reduction(es)
-    return sorted(es)
+    return sorted((m + 1, n + 1) for n, m in _multiple_edges(max_generators - 1, reduce))
 
 
 def divisibility_edges(max_n: int, reduce: bool = False) -> List[Tuple[int, int]]:
     """Edges n -> m for n | m, n != m, on {1..max_n}."""
-    es = {
-        (n, m)
-        for n in range(1, max_n + 1)
-        for m in range(1, max_n + 1)
-        if n != m and leq(n, m)
-    }
-    if reduce:
-        es = _transitive_reduction(es)
-    return sorted(es)
+    return _multiple_edges(max_n, reduce)
 
 
 def reversed_relabeled(edges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:

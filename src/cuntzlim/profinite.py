@@ -10,6 +10,12 @@ from typing import Callable, List, Optional, Tuple, Union
 from .algebra import AlgebraTag
 from .homs import GenHom, HomError
 
+# discontinuity_report refuses depths past REPORT_MAX_DEPTH: at depth 1000 its
+# residues mod up to 1001! have up to 2571 digits and the report is 2.4 MB;
+# from depth 1558 on, (depth+1)! passes CPython's 4300-digit limit for printing
+# an int
+REPORT_MAX_DEPTH = 1000
+
 
 # ---------------------------------------------------------------------------
 # Z-hat truncated along the cofinal factorial chain
@@ -301,6 +307,9 @@ class DiscontinuityReport:
 
 def discontinuity_report(depth: int, bound: int, p: int = 2,
                          p_precision: int = 8) -> DiscontinuityReport:
+    if depth > REPORT_MAX_DEPTH:
+        raise ValueError("depth %d is too deep: reports are built up to depth %d"
+                         % (depth, REPORT_MAX_DEPTH))
     x = all_ones(depth)
     moduli = [math.factorial(k) for k in range(2, depth + 2)]
     residues = [x.residue(m) for m in moduli]

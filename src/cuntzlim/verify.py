@@ -7,9 +7,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algebra import Element, O, equals, gen, mono, unit
+from .algebra import Element, O, equals, mono, unit
 from .gauge import uhf_chain_check
-from .homs import GenHom, apply, compose, f, q
+from .homs import DigitMap, GenHom, apply, compose, f, q
 from .limits import (
     CoherentFamily,
     check_coherent,
@@ -23,6 +23,7 @@ from .limits import (
 )
 from .parser import render
 from .poset import Chain
+from .scalars import ONE
 
 
 # verify_state samples monomials whose words have length <= STATE_WORD_LEN
@@ -88,7 +89,8 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     a, b >= 1 is already split, so decomposing it would never reach the
     mixed branch of classify_monomial.  Every monomial classify_monomial
     writes has a word that is empty or ends in 1, so its tables are checked
-    as built."""
+    as built.  The words are enumerated over {1, 2}, so each pair is built
+    without a letter check."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     if max_len < 0:
@@ -102,7 +104,7 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     ]
     for l in words:
         for r in words:
-            e = mono(tag, l, r)
+            e = Element(tag, {(l, r): ONE})
             qp, vp, vsp = classify_monomial(n, l, r)
             if corrupt:
                 vp = vp + unit(tag)
@@ -163,10 +165,9 @@ def verify_uhf(r: int, depth: int, corrupt: bool = False) -> None:
     def maps(n: int) -> GenHom:
         if not (corrupt and n == 1):
             return q(r, n)
-        # mutation hook: generator 1 goes to s1, a proper prefix of s1 s2
-        h = q(r, 1)
-        return GenHom(h.domain, h.codomain,
-                      lambda k: gen(h.codomain, 1) if k == 1 else h.image(k))
+        # mutation hook: the words of q(r, 1) one letter too long, the digit
+        # code (r, 3) on O_{r^2}: prefix-free with Kraft sum 1/r, not unital
+        return DigitMap(O(r * r), r, 3)
 
     report = uhf_chain_check(r, depth, maps=maps)
     if not report.ok:

@@ -1,7 +1,8 @@
-"""Independent references for the canonical form of cuntzlim.algebra.
+"""Independent references for the canonical form of cuntzlim.algebra, and
+the pair loops that the coherence check and the poset edges replaced.
 
-Both work on raw term tables, dicts mapping (left, right) word pairs to
-GaussianRational coefficients, and share no code with the library's
+The first two work on raw term tables, dicts mapping (left, right) word
+pairs to GaussianRational coefficients, and share no code with the library's
 canonicalization.
 
 `expansion_equal` decides equality without any normal form: the difference
@@ -14,7 +15,12 @@ so are the grades, so the tables are equal iff every expansion cancels.
 s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}* one monomial at a
 time, choosing the monomial at random; a canonical form must not depend on
 those choices.
+
+`coherent_all_pairs` applies every connecting map of a family, not only the
+consecutive ones.  The edge references test every pair of vertices with
+hom_exists or divisibility and reduce by comparing every pair of edges.
 """
+from cuntzlim import apply, equals, f, hom_exists
 
 
 def _acc(table, key, c):
@@ -73,3 +79,33 @@ def shuffled_leavitt(raw, n, rng):
         _acc(terms, (l[:-1], r[:-1]), c)
         for i in range(1, n):
             _acc(terms, (l[:-1] + (i,), r[:-1] + (i,)), -c)
+
+
+def coherent_all_pairs(fam):
+    """Every constraint f(n_j, n_l)(x_l) = x_j of a coherent family, j < l."""
+    ns = list(fam.chain)
+    return all(equals(apply(f(ns[j], ns[l]), fam.entries[l]), fam.entries[j])
+               for j in range(len(ns)) for l in range(j + 1, len(ns)))
+
+
+def transitive_reduction(edges):
+    out = set(edges)
+    for a, b in edges:
+        for c, d in edges:
+            if b == c and (a, d) in out:
+                out.discard((a, d))
+    return out
+
+
+def embeddability_pairs(max_generators, reduce=False):
+    """O_m -> O_n for every pair m != n that hom_exists allows."""
+    es = {(m, n) for m in range(2, max_generators + 1) for n in range(2, max_generators + 1)
+          if m != n and hom_exists(m, n)}
+    return sorted(transitive_reduction(es) if reduce else es)
+
+
+def divisibility_pairs(max_n, reduce=False):
+    """n -> m for every pair n != m with n | m."""
+    es = {(n, m) for n in range(1, max_n + 1) for m in range(1, max_n + 1)
+          if n != m and m % n == 0}
+    return sorted(transitive_reduction(es) if reduce else es)

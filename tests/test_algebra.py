@@ -18,6 +18,7 @@ from cuntzlim import (
 from cuntzlim.algebra import add, adjoint, multiply, scale
 from cuntzlim.homs import apply, f
 from cuntzlim.limits import classify_monomial, decompose_element
+from cuntzlim.verify import verify_decomposition
 
 from oracle import expansion_equal
 
@@ -69,6 +70,8 @@ def test_operations_trust_checked_words(monkeypatch):
     apply(h, x)
     classify_monomial(2, (1, 2, 2), (2, 2))
     decompose_element(2, a + b)
+    # the suite enumerates its own words over {1, 2}
+    verify_decomposition(2, 4)
     assert calls == []
 
 

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from cuntzlim import (
+    AlgebraTag,
+    DigitMap,
     GenHom,
     O,
+    compose,
     f,
     fixed_point_report,
     gen,
@@ -10,10 +15,12 @@ from cuntzlim import (
     is_gauge_invariant,
     mono,
     q,
+    rn,
     uhf_chain_check,
     uhf_graded_vanishing,
     uhf_member,
     unit,
+    validate_prefix_code,
 )
 
 O2 = O(2)
@@ -98,20 +105,61 @@ def test_uhf_chain_check_depth_guard():
         uhf_chain_check(1, 10**6)
 
 
-def test_uhf_chain_check_refuses_depths_past_the_generator_bound():
-    class LevelBuilt(Exception):
-        pass
+def test_uhf_chain_check_depth_is_bounded_only_by_q():
+    # levels are decided from digit codes, so depths whose maps have 2^32 or
+    # 3^16 generators are checked without building an image
+    assert uhf_chain_check(2, 6).ok and uhf_chain_check(3, 5).ok
+    # q(2, 16) is the last squaring map q builds (Q_MAX_BITS); maps is never
+    # asked for a later level, even one that would not raise itself
+    asked = []
 
-    def first_level(n):
-        raise LevelBuilt
+    def maps(n):
+        asked.append(n)
+        size = rn(2, n)
+        return DigitMap(AlgebraTag(size * size), size, 2)
 
-    # q(3, 4) has 3^16 generators: refused before level 1 is built
-    with pytest.raises(ValueError, match="too deep"):
-        uhf_chain_check(3, 5, maps=first_level)
-    # q(2, 4) has exactly 2^16: the check goes on to build level 1
-    with pytest.raises(LevelBuilt):
-        uhf_chain_check(2, 5, maps=first_level)
-    # rn(2, 10**6) has about 2^999999 bits: the bound is compared level by
-    # level, so the refusal is immediate
-    with pytest.raises(ValueError, match="too deep"):
-        uhf_chain_check(2, 10**6)
+    assert uhf_chain_check(2, 17, maps=maps).ok and asked == list(range(1, 17))
+    for depth in (18, 10 ** 6):
+        asked.clear()
+        with pytest.raises(ValueError, match="too large"):
+            uhf_chain_check(2, depth, maps=maps)
+        assert asked == list(range(1, 17))
+
+
+def _uncoded(h):
+    return GenHom(h.domain, h.codomain, h.image)
+
+
+@pytest.mark.parametrize("r, depth", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_uhf_code_certificates_agree_with_enumeration(r, depth):
+    # the verdicts read from digit codes against the enumerating ones: the
+    # prefix-code certificate of every image word and the block membership
+    # of every pushed word, through uncoded copies and apply (depth 5 takes
+    # about 6 s to enumerate)
+    rep = uhf_chain_check(r, depth)
+    push = None
+    for lv in rep.levels:
+        step = _uncoded(q(r, lv.n))
+        push = step if push is None else compose(push, step, validate=False)
+        assert push.code is None
+        assert lv.code_maximal == validate_prefix_code(step.image_words(), rn(r, lv.n)).maximal
+        pushed = push.image_words()
+        assert lv.member_ok == (bool(pushed) and all(
+            len(w) == lv.grade_scale and uhf_member(r, lv.n + 1, w, ()) for w in pushed))
+    assert rep.ok
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_uhf_words_one_letter_too_long_are_rejected_by_both_certificates(r):
+    # the --corrupt map of level 1: the digit code (r, 3) on O_{r^2}
+    bad = DigitMap(O(r * r), r, 3)
+    rep = uhf_chain_check(r, 3, maps=lambda n: bad if n == 1 else q(r, n))
+    assert [(lv.code_maximal, lv.member_ok) for lv in rep.levels] == [(False, False),
+                                                                        (True, False)]
+    assert not rep.ok
+    # enumerated: prefix-free with Kraft sum 1/r, and pushed words of length 3
+    # and 6 where 2 and 4 are due
+    code = validate_prefix_code(bad.image_words(), r)
+    assert code.prefix_free and code.kraft_sum == Fraction(1, r) and not code.maximal
+    pushed = compose(_uncoded(bad), _uncoded(q(r, 2)), validate=False).image_words()
+    assert {len(w) for w in bad.image_words()} == {3} and {len(w) for w in pushed} == {6}

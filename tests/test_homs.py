@@ -5,6 +5,7 @@ import pytest
 
 from cuntzlim import (
     CodeReport,
+    DigitMap,
     GenHom,
     HomError,
     O,
@@ -139,6 +140,48 @@ def test_q_images_and_rn():
 def test_q_validates():
     h = q(2, 2)
     make_hom(h.domain, h.codomain, h.image)
+
+
+def test_digit_map_images():
+    # generator k goes to the base-a digits of k - 1, most significant first
+    h = DigitMap(O(9), 3, 2)
+    assert h.code == (3, 2) and h.codomain == O(3)
+    assert h.image_words() == [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    assert DigitMap(O(4), 2, 3).image_words() == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+    assert q(3, 1).code == (3, 2) and q(2, 2).code == (4, 2)
+    assert identity(O(2)).code is None and f(1, 2).code is None
+    for domain, a, length in ((O(9), 2, 3), (O_INF, 2, 3), (O(2), 1, 5), (O(2), 2, 0)):
+        with pytest.raises(HomError):
+            DigitMap(domain, a, length)
+
+
+def _uncoded(h):
+    return GenHom(h.domain, h.codomain, h.image)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_coded_composites_equal_applied_images(r):
+    # D(a, L1) after D(a^L1, L2) is D(a, L1*L2), with no apply; two and three
+    # levels of the doubling chain against images pushed through apply
+    two = compose(q(r, 1), q(r, 2), validate=False)
+    three = compose(two, q(r, 3), validate=False)
+    assert (two.code, three.code) == ((r, 4), (r, 8))
+    assert two.domain == q(r, 2).domain and three.domain == q(r, 3).domain
+    for comp, outer, inner in ((two, q(r, 1), q(r, 2)), (three, two, q(r, 3))):
+        for k in comp.gens():
+            assert comp.image(k) == apply(outer, inner.image(k))
+    assert compose(_uncoded(q(r, 1)), q(r, 2), validate=False).code is None
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_coded_compose_needs_a_full_outer_domain(r):
+    # D(r, 3) on O_{r^2} is not full (b = r^2 != r^3): composing it with
+    # q(r, 2) applies its images instead of substituting codes
+    outer = DigitMap(O(r * r), r, 3)
+    comp = compose(outer, q(r, 2), validate=False)
+    assert comp.code is None
+    for k in comp.gens():
+        assert comp.image(k) == apply(outer, q(r, 2).image(k))
 
 
 def test_prefix_code_validation():

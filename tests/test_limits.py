@@ -26,6 +26,8 @@ from cuntzlim import (
 )
 from cuntzlim.limits import is_q_inf_shape, is_v_shape, is_vstar_shape
 
+from oracle import coherent_all_pairs
+
 O2 = O(2)
 
 
@@ -202,6 +204,38 @@ def test_coherent_family_checks():
     entries = list(fam.entries)
     entries[0] = entries[0] + unit(O(2))
     assert not check_coherent(CoherentFamily(ch, tuple(entries)))
+
+
+def _psi_chains():
+    """Chains of 2 to 4 elements from 1, 2, 3, 4 or 6, each step a factor 2
+    or 3, up to 24: the chains of the benchmark's psi requests."""
+    chains, frontier = [], [(a,) for a in (1, 2, 3, 4, 6)]
+    while frontier:
+        frontier = [c + (c[-1] * k,) for c in frontier for k in (2, 3)
+                    if len(c) < 4 and c[-1] * k <= 24]
+        chains += frontier
+    return [Chain(c) for c in chains]
+
+
+def test_consecutive_coherence_agrees_with_all_pairs_oracle():
+    # honest psi families, and families with their first, a middle or their
+    # last entry replaced by the image of another monomial of the same grade
+    x = mono(O_INF, (3, 1), (2,)) + mono(O_INF, (1,), (), 2)
+    other = mono(O_INF, (3, 1, 1, 1), (2, 1, 1))
+    seen = {True: 0, False: 0}
+    for ch in _psi_chains():
+        fam = psi(ch, x)
+        families = [fam]
+        for j in sorted({0, len(ch) // 2, len(ch) - 1}):
+            entries = list(fam.entries)
+            entries[j] = apply(f_inf(ch[j]), other)
+            families.append(CoherentFamily(ch, tuple(entries)))
+        for g in families:
+            verdict = check_coherent(g)
+            assert verdict == coherent_all_pairs(g), (list(ch), g is fam)
+            assert verdict == (g is fam)
+            seen[verdict] += 1
+    assert seen[True] == len(_psi_chains()) and seen[False] > 2 * seen[True]
 
 
 def test_psi_compatible_with_connecting_maps():

@@ -231,12 +231,15 @@ def test_cli_verify_uhf_checks_each_level_by_its_certificate():
     assert proc.returncode == 1 and "failed at levels" in proc.stdout
 
 
-def test_cli_verify_uhf_past_the_generator_bound_exits_2():
-    # q(2, 5) has 2^32 generators and q(3, 4) has 3^16: both are refused
-    # before any level is built instead of running without end
-    for r, depth in (("2", "6"), ("3", "5")):
+def test_cli_verify_uhf_past_the_q_bound_exits_2():
+    # q(2, 5) has 2^32 generators and q(3, 4) has 3^16: their levels are
+    # decided from digit codes; q(2, 17) is past Q_MAX_BITS and refused
+    for r, depth in (("2", "6"), ("3", "5"), ("2", "17")):
         proc = run_process("verify", "uhf", "--r", r, "--depth", depth, timeout=10)
-        assert proc.returncode == 2 and "too deep" in proc.stderr and proc.stdout == ""
+        assert proc.returncode == 0 and "verified" in proc.stdout
+    for depth in ("18", "1000000"):
+        proc = run_process("verify", "uhf", "--r", "2", "--depth", depth, timeout=10)
+        assert proc.returncode == 2 and "too large" in proc.stderr and proc.stdout == ""
 
 
 def test_cli_verify_suites():
@@ -258,6 +261,15 @@ def test_cli_verify_corrupt_refutes():
     assert rc == 1 and "REFUTED" in out
     rc, out = run("verify", "uhf", "--r", "2", "--depth", "3", "--corrupt")
     assert rc == 1 and "failed at levels [1, 2]" in out and "forced" not in out
+
+
+def test_cli_profinite_report_refuses_depths_past_the_bound():
+    # depth 2000 used to build the whole report and then fail to print a
+    # residue of over 4300 digits; depth 20000 ran without end
+    for depth in ("1001", "2000", "20000"):
+        proc = run_process("profinite", "report", "--depth", depth, "--bound", "1000000",
+                           timeout=10)
+        assert proc.returncode == 2 and "too deep" in proc.stderr and proc.stdout == ""
 
 
 def test_cli_poset_graph(tmp_path):

@@ -12,7 +12,9 @@ from cuntzlim import (
     leq,
     reversed_relabeled,
 )
-from cuntzlim.poset import TOP, check_order_hom
+from cuntzlim.poset import POSET_MAX, TOP, check_order_hom
+
+from oracle import divisibility_pairs, embeddability_pairs
 
 
 def test_leq_is_divisibility_with_top():
@@ -101,6 +103,33 @@ def test_reversal_relabel_gives_divisibility_graph():
         (1, 2), (1, 3), (1, 5), (1, 7), (2, 4), (2, 6), (3, 6),
     }
     assert set(reversed_relabeled(reduced)) == set(divisibility_edges(7, reduce=True))
+
+
+def test_edges_agree_with_the_pair_loops():
+    # multiples and prime quotients against hom_exists on every pair and the
+    # transitive reduction that compares every pair of edges
+    for top in range(2, 61):
+        for reduce in (False, True):
+            assert embeddability_edges(top, reduce) == embeddability_pairs(top, reduce)
+            assert divisibility_edges(top, reduce) == divisibility_pairs(top, reduce)
+    assert divisibility_edges(0) == divisibility_edges(-3) == []
+
+
+def test_edges_refuse_graphs_past_the_bound():
+    assert len(embeddability_edges(POSET_MAX + 1, reduce=True)) > POSET_MAX
+    with pytest.raises(ValueError, match="too large"):
+        embeddability_edges(POSET_MAX + 2)
+    with pytest.raises(ValueError, match="too large"):
+        divisibility_edges(10 ** 12, reduce=True)
+
+
+def test_reduced_dot_output_for_eight_generators():
+    assert embeddability_graph(8, reduce=True).to_dot("embeddability") == (
+        'digraph embeddability {\n'
+        + "".join('  "O%d";\n' % k for k in range(2, 9))
+        + "".join('  "O%d" -> "O%d";\n' % e
+                  for e in ((3, 2), (4, 2), (5, 3), (6, 2), (7, 3), (7, 4), (8, 2)))
+        + "}\n")
 
 
 def test_dot_output():
