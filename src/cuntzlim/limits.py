@@ -1,24 +1,19 @@
-"""Truncated inverse-limit machinery over divisibility chains, the free
-subsemigroup word combinatorics of Q_1 = O_2, the direct-sum decomposition
-Q_n = Q_inf + V_n + V_n*, and the distinguished state killing every
-monomial that is not supported on the first generator."""
+"""Truncated inverse limits over divisibility chains, the word combinatorics
+of L_n in {1, 2}*, the state fixing the first generator, and the direct-sum
+decomposition Q_n = Q_inf + V_n + V_n* of O_2: one classifier writes the parts
+of c s_J s_K*, and decompose_element runs it once per term of an element."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .algebra import (
-    AlgebraError,
-    Element,
-    O,
-    Word,
-    equals,
-)
+from .algebra import AlgebraError, Element, O, Word, equals
 from .homs import apply, f, f_inf
 from .poset import Chain
 from .scalars import GaussianRational, ONE, ZERO
 
 O2 = O(2)
+MINUS_ONE = -ONE
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +133,40 @@ def is_vstar_shape(n: int, left: Word, right: Word) -> bool:
     return is_v_shape(n, right, left)
 
 
-def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element, Element]:
-    """Decompose the monomial s_left s_right* (words in L_n or empty) into
-    its (Q_inf, V_n, V_n*) parts; the parts sum back to the input.
-
-    Mixed monomials x 2^(an) (y 2^(bn))* with a, b >= 1 are rewritten with
-    the range projection identity
-    (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k
-    before classification."""
-    left, right = tuple(left), tuple(right)
+def _classify(n: int, left: Word, right: Word, c, neg_c, parts) -> None:
+    """Append the (Q_inf, V_n, V_n*) pairs of c s_left s_right* (words in L_n
+    or empty) to the lists parts: c on the leading term, neg_c = -c on the
+    range-projection terms that rewrite a mixed monomial x 2^(an) (y 2^(bn))*
+    (a, b >= 1) by (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k."""
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     x, a = _split_ln(n, left)
     y, b = _split_ln(n, right)
-    c = min(a, b)  # 0 unless the monomial is mixed
-    lrem = x + (2,) * ((a - c) * n)
-    rrem = y + (2,) * ((b - c) * n)
-    q_terms, v_terms, vs_terms = [], [], []
-    (v_terms if a > b else vs_terms if a < b else q_terms).append(((lrem, rrem), ONE))
-    q_terms.extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), -ONE)
-                   for k in range(c * n))
-    return (Element(O2, q_terms), Element(O2, v_terms), Element(O2, vs_terms))
+    m = min(a, b)  # 0 unless the monomial is mixed
+    lrem = x + (2,) * ((a - m) * n)
+    rrem = y + (2,) * ((b - m) * n)
+    parts[1 if a > b else 2 if a < b else 0].append(((lrem, rrem), c))
+    parts[0].extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), neg_c)
+                    for k in range(m * n))
+
+
+def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element, Element]:
+    """Decompose the monomial s_left s_right* (words in L_n or empty) into
+    its (Q_inf, V_n, V_n*) parts; the parts sum back to the input."""
+    q, v, vs = parts = ([], [], [])
+    _classify(n, tuple(left), tuple(right), ONE, MINUS_ONE, parts)
+    return Element(O2, q), Element(O2, v), Element(O2, vs)
 
 
 def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
-    """Linear extension of classify_monomial; parts sum to e."""
+    """Linear extension of classify_monomial, one Element per part; sums to e."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     parts = ([], [], [])
     for (l, r), c in e.terms.items():
-        for pairs, m in zip(parts, classify_monomial(n, l, r)):
-            pairs.extend((key, c * v) for key, v in m.terms.items())
+        _classify(n, l, r, c, -c, parts)
     return tuple(Element(O2, pairs) for pairs in parts)
 
 

@@ -238,6 +238,7 @@ class DiscontinuityReport:
     p_precision: int
     p_limit_k0: K0Descriptor
     p_digits: Tuple[int, ...]
+    p_determined: int  # v_p((depth+1)!): the digits the residue class fixes
 
     def to_kv(self) -> str:
         lines = [
@@ -265,6 +266,8 @@ class DiscontinuityReport:
             "p_limit_k0=%s" % self.p_limit_k0.kind,
             "p_all_ones_digits=%s" % ",".join(map(str, self.p_digits)),
         ]
+        if self.p_determined < self.p_precision:
+            lines.append("p_determined_digits=%d" % self.p_determined)
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -302,15 +305,32 @@ class DiscontinuityReport:
             " vs truncated Z_p digits %s"
             % (self.p, self.p_precision, self.p_limit_k0.kind, list(self.p_digits))
         )
+        if self.p_determined < self.p_precision:
+            w[-1] += " (%d! determines only the first %d digits)" % (
+                self.depth + 1, self.p_determined)
         return "\n".join(w) + "\n"
 
 
 def discontinuity_report(depth: int, bound: int, p: int = 2,
                          p_precision: int = 8) -> DiscontinuityReport:
+    """The all-ones element against the integers in [-bound, bound], up to
+    the factorial depth.  Its p-adic digits are printed only as far as its
+    class mod (depth+1)! fixes them: v_p((depth+1)!) digits, at most
+    p_precision.  So p must be a prime <= depth + 1, and bound >= 0."""
     if depth > REPORT_MAX_DEPTH:
         raise ValueError("depth %d is too deep: reports are built up to depth %d"
                          % (depth, REPORT_MAX_DEPTH))
     x = all_ones(depth)
+    if bound < 0:
+        raise ValueError("bound must be >= 0, got %d" % bound)
+    # a p past depth + 1 divides no factor of (depth+1)!: it is refused
+    # before its primality is tested
+    if not 2 <= p <= depth + 1 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise ValueError("need a prime p <= depth + 1 = %d, got %d" % (depth + 1, p))
+    determined, pk = 0, p  # Legendre: v_p(N!) = sum of N // p^k
+    while pk <= depth + 1:
+        determined += (depth + 1) // pk
+        pk *= p
     moduli = [math.factorial(k) for k in range(2, depth + 2)]
     residues = [x.residue(m) for m in moduli]
     injective = math.factorial(depth + 1) > 2 * bound
@@ -341,7 +361,7 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         if sep > best:
             best, best_depth = sep, d
 
-    px = PAdicInt(p, p_precision, x.value)
+    px = PAdicInt(p, min(p_precision, determined), x.value)
     return DiscontinuityReport(
         depth=depth,
         bound=bound,
@@ -358,4 +378,5 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         p_precision=p_precision,
         p_limit_k0=K0Descriptor("FreeRankOne"),
         p_digits=px.digits,
+        p_determined=determined,
     )

@@ -28,6 +28,20 @@ from .scalars import ONE
 
 # verify_state samples monomials whose words have length <= STATE_WORD_LEN
 STATE_WORD_LEN = 3
+# the largest sizes the suites accept: their work grows about as max^2.8
+# (inverse-system), max^2.1 (state) and 4^max-len (decomposition at n = 1),
+# and larger sizes are refused before any case is checked
+INVERSE_SYSTEM_MAX = 256
+STATE_MAX = 1000
+DECOMPOSITION_MAX_LEN = 10
+
+
+def _check_size(name: str, value: int, low: int, high: int) -> None:
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+    if value > high:
+        raise ValueError("%s %d is too large: this suite runs up to %s %d"
+                         % (name, value, name, high))
 
 
 class Refuted(Exception):
@@ -41,8 +55,7 @@ def _corrupt(h: GenHom) -> GenHom:
 
 def verify_inverse_system(max_l: int, corrupt: bool = False) -> None:
     """f(n,m) o f(m,l) = f(n,l) generator-wise on all chains n | m | l."""
-    if max_l < 1:
-        raise ValueError("max must be >= 1, got %d" % max_l)
+    _check_size("max", max_l, 1, INVERSE_SYSTEM_MAX)
     for l in range(1, max_l + 1):
         for m in range(1, l + 1):
             if l % m:
@@ -93,8 +106,7 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     without a letter check."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    if max_len < 0:
-        raise ValueError("max-len must be >= 0, got %d" % max_len)
+    _check_size("max-len", max_len, 0, DECOMPOSITION_MAX_LEN)
     tag = O(2)
     words = [()] + [
         w
@@ -130,8 +142,7 @@ def verify_state(max_m: int, samples: int = 500, corrupt: bool = False,
     Exhaustive over generator letters (which determines the identity on all
     monomials, since the state tests the all-ones property letterwise) plus
     random monomials up to the sampled word length."""
-    if max_m < 1:
-        raise ValueError("max must be >= 1, got %d" % max_m)
+    _check_size("max", max_m, 1, STATE_MAX)
     rng = random.Random(seed)
     for m in range(1, max_m + 1):
         for n in range(1, m + 1):

@@ -16,11 +16,15 @@ s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}* one monomial at a
 time, choosing the monomial at random; a canonical form must not depend on
 those choices.
 
+`decompose_by_monomial` decomposes an O_2 element monomial by monomial:
+c times each part of classify_monomial, summed.  The library classifies
+every term of the element in one pass instead.
+
 `coherent_all_pairs` applies every connecting map of a family, not only the
 consecutive ones.  The edge references test every pair of vertices with
 hom_exists or divisibility and reduce by comparing every pair of edges.
 """
-from cuntzlim import apply, equals, f, hom_exists
+from cuntzlim import Element, apply, classify_monomial, equals, f, hom_exists
 
 
 def _acc(table, key, c):
@@ -79,6 +83,16 @@ def shuffled_leavitt(raw, n, rng):
         _acc(terms, (l[:-1], r[:-1]), c)
         for i in range(1, n):
             _acc(terms, (l[:-1] + (i,), r[:-1] + (i,)), -c)
+
+
+def decompose_by_monomial(n, e):
+    """The (Q_inf, V_n, V_n*) parts of an O_2 element e: every monomial of e
+    is classified on its own and its parts are scaled by its coefficient."""
+    parts = ([], [], [])
+    for (l, r), c in e.terms.items():
+        for pairs, m in zip(parts, classify_monomial(n, l, r)):
+            pairs.extend((key, c * v) for key, v in m.terms.items())
+    return tuple(Element(e.tag, pairs) for pairs in parts)
 
 
 def coherent_all_pairs(fam):

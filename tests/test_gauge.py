@@ -80,10 +80,6 @@ def test_uhf_chain_check_reports():
         assert rep.ok
         assert [lv.grade_scale for lv in rep.levels] == [2, 4]
         assert all(lv.code_maximal and lv.member_ok for lv in rep.levels)
-        assert all(rep.vanishing.values())
-        # every grade 0 < |l| <= 6 that a level's block length does not divide
-        assert set(rep.vanishing) == {(n, l) for n in (1, 2, 3) for l in range(-6, 7)
-                                      if l % 2 ** (n - 1)}
 
 
 def test_uhf_chain_check_fails_a_level_without_word_images():
@@ -96,6 +92,8 @@ def test_uhf_chain_check_fails_a_level_without_word_images():
     assert not rep.ok
     assert [lv.n for lv in rep.levels if not lv.code_maximal] == [1]
     assert [lv.n for lv in rep.levels if not lv.member_ok] == [1, 2]
+    # with no digit code there is no grade scale to read
+    assert [lv.grade_scale for lv in rep.levels] == [None, None]
 
 
 def test_uhf_chain_check_depth_guard():
@@ -163,3 +161,14 @@ def test_uhf_words_one_letter_too_long_are_rejected_by_both_certificates(r):
     assert code.prefix_free and code.kraft_sum == Fraction(1, r) and not code.maximal
     pushed = compose(_uncoded(bad), _uncoded(q(r, 2)), validate=False).image_words()
     assert {len(w) for w in bad.image_words()} == {3} and {len(w) for w in pushed} == {6}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_uhf_grade_scale_is_read_from_the_push_composite(r):
+    # the --corrupt map of level 1, the digit code (r, 3), scales the gauge
+    # grade by 3 where 2 is due: level 1 reports that scale and the report
+    # fails; (r, 3) after q(r, 2)'s code (r^2, 2) substitutes into no code
+    bad = DigitMap(O(r * r), r, 3)
+    rep = uhf_chain_check(r, 3, maps=lambda n: bad if n == 1 else q(r, n))
+    assert [lv.grade_scale for lv in rep.levels] == [3, None]
+    assert not rep.ok

@@ -1,10 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from cuntzlim import (
     Chain,
     CoherentFamily,
+    GaussianRational,
+    ONE,
     O,
     O_INF,
     apply,
@@ -24,9 +27,9 @@ from cuntzlim import (
     unit,
     zero,
 )
-from cuntzlim.limits import is_q_inf_shape, is_v_shape, is_vstar_shape
+from cuntzlim.limits import _trailing_two_run, is_q_inf_shape, is_v_shape, is_vstar_shape
 
-from oracle import coherent_all_pairs
+from oracle import coherent_all_pairs, decompose_by_monomial
 
 O2 = O(2)
 
@@ -193,6 +196,75 @@ def test_decompose_element_after_sibling_rewrite():
     assert qp + vp + vs == e
     assert vp.is_zero() and vs.is_zero()
     assert all(is_q_inf_shape(wl, wr) for (wl, wr) in qp.terms)
+
+
+def _coefficient(rng):
+    # a nonzero Gaussian rational other than 1, so a decomposition that
+    # drops or flips the coefficient of a term is seen
+    while True:
+        c = GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                             Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if not c.is_zero() and c != ONE:
+            return c
+
+
+def _random_decomposable(rng, n, words):
+    """An O_2 element of 1 to 6 terms over words in L_n or empty of length
+    <= 6.  A term is a plain monomial, a mixed monomial x 2^(an) (y 2^(bn))*
+    (a, b >= 1), a sibling set s_J1 s_K1* + s_J2 s_K2*, or a mixed monomial
+    plus the opposite of one of its range-projection terms, which cancels
+    in the sum."""
+    mixed = [w for w in words if w[-n:] == (2,) * n]
+    parents = [w[:-1] for w in words if w[-1:] == (2,)]
+    kinds = []
+    e = zero(O2)
+    for _ in range(rng.randint(1, 6)):
+        c = _coefficient(rng)
+        kind = rng.choice(("plain", "mixed", "siblings", "cancel"))
+        kinds.append(kind)
+        if kind == "plain":
+            e = e + c * mono(O2, rng.choice(words), rng.choice(words))
+        elif kind == "siblings":
+            j, k = rng.choice(parents), rng.choice(parents)
+            e = e + c * (mono(O2, j + (1,), k + (1,)) + mono(O2, j + (2,), k + (2,)))
+        else:
+            l, r = rng.choice(mixed), rng.choice(mixed)
+            term = c * mono(O2, l, r)
+            if kind == "cancel":
+                # the Leavitt rewrite peels the common trailing 2s one at a
+                # time, each peel writing -c s_{l[:i] 1} s_{r[:j] 1}*
+                i = len(l) - 1 - rng.randrange(min(_trailing_two_run(l), _trailing_two_run(r)))
+                key = (l[:i] + (1,), r[:i + len(r) - len(l)] + (1,))
+                term = term + c * mono(O2, *key)
+                assert key not in term.terms
+            e = e + term
+    return e, kinds
+
+
+def test_decompose_element_agrees_with_monomial_reference(rng):
+    # one-pass decomposition against classify_monomial term by term, on
+    # elements whose coefficients are not 1; the canonical form of a sum of
+    # L_n monomials keeps its words in L_n, so every element decomposes
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        words = [w for w in all_words(6, min_len=0) if w == () or in_L(n, w)]
+        e, used = _random_decomposable(rng, n, words)
+        parts = decompose_element(n, e)
+        assert parts == decompose_by_monomial(n, e), (n, e)
+        assert parts[0] + parts[1] + parts[2] == e
+        kinds.update(used)
+    assert kinds == {"plain", "mixed", "siblings", "cancel"}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_decomposition_refuses_n_below_one(n):
+    for left, right in [((), ()), ((1,), (2, 1)), ((2, 2), ())]:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            classify_monomial(n, left, right)
+    for e in (zero(O2), unit(O2), mono(O2, (2, 1), (1,), 3)):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            decompose_element(n, e)
 
 
 def test_coherent_family_checks():

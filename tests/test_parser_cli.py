@@ -10,9 +10,17 @@ from cuntzlim import (
     IMAG, O, O_INF, GenHom, ParseError, equals, gen, mono, parse, render, unit, zero,
 )
 from cuntzlim.algebra import add, adjoint, multiply, scale
-from cuntzlim.cli import main, render_partition
+from cuntzlim.cli import build_parser, main, render_partition
 from cuntzlim.parser import MAX_NESTING
 from cuntzlim.poset import Chain
+from cuntzlim.verify import (
+    DECOMPOSITION_MAX_LEN,
+    INVERSE_SYSTEM_MAX,
+    STATE_MAX,
+    verify_decomposition,
+    verify_inverse_system,
+    verify_state,
+)
 
 O2 = O(2)
 
@@ -263,6 +271,29 @@ def test_cli_verify_corrupt_refutes():
     assert rc == 1 and "failed at levels [1, 2]" in out and "forced" not in out
 
 
+def test_cli_verify_refuses_sizes_past_the_suite_bounds():
+    # each of these ran without end (still running after 10 s); now each is
+    # refused before any case is checked
+    for argv, message in ((["inverse-system", "--max", "100000"], "max 100000 is too large"),
+                          (["state", "--max", "100000"], "max 100000 is too large"),
+                          (["decomposition", "--n", "2", "--max-len", "40"],
+                           "max-len 40 is too large")):
+        proc = run_process("verify", *argv, timeout=10)
+        assert proc.returncode == 2 and message in proc.stderr and proc.stdout == ""
+    for call, size in ((verify_inverse_system, INVERSE_SYSTEM_MAX),
+                       (verify_state, STATE_MAX)):
+        with pytest.raises(ValueError, match="runs up to max %d" % size):
+            call(size + 1)
+    with pytest.raises(ValueError, match="runs up to max-len %d" % DECOMPOSITION_MAX_LEN):
+        verify_decomposition(1, DECOMPOSITION_MAX_LEN + 1)
+    # the CLI defaults (24, 12, 8) and criterion 6's length 8 stay inside
+    ap = build_parser()
+    assert ap.parse_args(["verify", "inverse-system"]).max == 24 <= INVERSE_SYSTEM_MAX
+    assert ap.parse_args(["verify", "state"]).max == 12 <= STATE_MAX
+    assert ap.parse_args(["verify", "decomposition", "--n", "2"]).max_len == 8 \
+        <= DECOMPOSITION_MAX_LEN
+
+
 def test_cli_profinite_report_refuses_depths_past_the_bound():
     # depth 2000 used to build the whole report and then fail to print a
     # residue of over 4300 digits; depth 20000 ran without end
@@ -270,6 +301,22 @@ def test_cli_profinite_report_refuses_depths_past_the_bound():
         proc = run_process("profinite", "report", "--depth", depth, "--bound", "1000000",
                            timeout=10)
         assert proc.returncode == 2 and "too deep" in proc.stderr and proc.stdout == ""
+
+
+def test_cli_profinite_report_validates_p_bound_and_precision():
+    # --p 4 printed base-4 digits, --bound -5 printed "on [--5, -5]", and
+    # --p-precision 100000000 computed 2^100000000 before printing
+    for depth, bound, p, message in (("9", "10", "4", "need a prime p <= depth + 1 = 10"),
+                                     ("3", "10", "5", "need a prime p <= depth + 1 = 4"),
+                                     ("9", "-5", "2", "bound must be >= 0")):
+        proc = run_process("profinite", "report", "--depth", depth, "--bound", bound,
+                           "--p", p, timeout=10)
+        assert proc.returncode == 2 and message in proc.stderr and proc.stdout == ""
+    proc = run_process("profinite", "report", "--depth", "9", "--bound", "10",
+                       "--p-precision", "100000000", timeout=10)
+    assert proc.returncode == 0
+    assert "digits [1, 0, 0, 1, 1, 0, 0, 0] (10! determines only the first 8 digits)" \
+        in proc.stdout
 
 
 def test_cli_poset_graph(tmp_path):

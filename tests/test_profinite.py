@@ -116,3 +116,44 @@ def test_discontinuity_report_fields():
 def test_discontinuity_report_small_bound_within_depth():
     rep = discontinuity_report(9, 100)
     assert rep.witness_depth == 5 and not rep.witness_beyond_requested
+
+
+def _binary_digits(v, count):
+    return [(v >> k) & 1 for k in range(count)]
+
+
+def test_discontinuity_report_prints_only_determined_digits():
+    # the all-ones element at depth 3 is 9 mod 4! = 24 = 2^3 * 3, so 9 and
+    # 9 + 24 = 33 are both representatives: only the digits they share are
+    # determined
+    rep = discontinuity_report(3, 5)
+    a, b = _binary_digits(9, 8), _binary_digits(33, 8)
+    shared = next(k for k in range(8) if a[k] != b[k])
+    assert list(rep.p_digits) == a[:shared] == [1, 0, 0]
+    assert rep.p_determined == 3 and rep.p_precision == 8
+    assert "4! determines only the first 3 digits" in rep.to_text()
+    assert rep.to_kv().endswith("p_all_ones_digits=1,0,0\np_determined_digits=3\n")
+    # v_3(10!) = 4 digits at p = 3; v_2(21!) = 18 covers a precision of 8
+    rep = discontinuity_report(9, 10, p=3)
+    assert rep.p_determined == 4 and len(rep.p_digits) == 4
+    rep = discontinuity_report(20, 10)
+    assert rep.p_determined == 18 and len(rep.p_digits) == 8
+    assert "determine" not in rep.to_text() + rep.to_kv()
+
+
+def test_discontinuity_report_default_digits_all_determined():
+    # v_2(10!) = 8 is the default precision: every digit is printed
+    rep = discontinuity_report(9, 10 ** 6)
+    assert rep.p_determined == 8 and len(rep.p_digits) == 8
+    assert list(rep.p_digits) == _binary_digits(all_ones(9).value, 8)
+    assert "determine" not in rep.to_text() + rep.to_kv()
+
+
+def test_discontinuity_report_validates_p_and_bound():
+    for p, depth in ((4, 9), (9, 9), (1, 9), (0, 9), (5, 3), (11, 9), (10 ** 100, 9)):
+        with pytest.raises(ValueError, match="need a prime p <= depth"):
+            discontinuity_report(depth, 10, p=p)
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        discontinuity_report(9, -5)
+    # a precision of 10^8 costs nothing: only v_p((depth+1)!) digits are built
+    assert len(discontinuity_report(9, 10, p_precision=10 ** 8).p_digits) == 8
