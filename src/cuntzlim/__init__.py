@@ -58,18 +58,14 @@ from .profinite import (
     DiscontinuityReport,
     K0Descriptor,
     K0Map,
-    PAdicInt,
     ProfiniteInt,
     UHF,
     all_ones,
     discontinuity_report,
     from_digits,
-    from_integer,
     induced_k0_map,
     k0,
-    natural_surjection,
     nonintegrality_witness,
-    project,
 )
 from .gauge import (
     FixedPointReport,
@@ -78,7 +74,6 @@ from .gauge import (
     is_diagonal,
     is_gauge_invariant,
     uhf_chain_check,
-    uhf_graded_vanishing,
     uhf_member,
 )
 from .parser import ParseError, parse, render

@@ -117,7 +117,10 @@ def render_partition(chain: Chain) -> str:
     # f(n, m) sends generator m+1 to (s_{n+1})^{m/n}, its longest image word
     max_len = chain[-1] // n1
     cell_w = 6
-    if cell_w * base ** max_len > PARTITION_MAX_WIDTH:
+    # as base >= 2, a max_len of PARTITION_MAX_WIDTH's bit length is too wide
+    # already: it is refused before base ** max_len is taken
+    if (max_len >= PARTITION_MAX_WIDTH.bit_length()
+            or cell_w * base ** max_len > PARTITION_MAX_WIDTH):
         raise ValueError("chain %s is too wide to draw: rows of %d * %d^%d characters"
                          " exceed %d" % (list(chain), cell_w, base, max_len,
                                          PARTITION_MAX_WIDTH))

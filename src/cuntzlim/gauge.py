@@ -2,7 +2,8 @@
 generator-doubling chain whose limit is uniformly hyperfinite: each level's
 squaring map and its push composite down to O_r are decided from their digit
 codes, and a composite's code length is the factor by which it scales the
-gauge grade |J| - |K|."""
+gauge grade |J| - |K|.  Every reported field is read from the maps under
+test, so a map that breaks a level changes its report."""
 from __future__ import annotations
 
 import itertools
@@ -70,18 +71,6 @@ def uhf_member(r: int, n: int, left: Word, right: Word) -> bool:
         raise ValueError("need r >= 2 and n >= 1")
     block = 2 ** (n - 1)
     return len(left) % block == 0 and len(right) % block == 0
-
-
-def uhf_graded_vanishing(r: int, n: int, l: int, max_len: int) -> bool:
-    """True iff no block-subalgebra monomial of length <= max_len has grade l
-    when 2^(n-1) does not divide l (enumeration verdict over lengths only:
-    grades depend only on |J| and |K|)."""
-    block = 2 ** (n - 1)
-    for a in range(0, max_len + 1, block):
-        b = a - l
-        if 0 <= b <= max_len and b % block == 0:
-            return False
-    return True
 
 
 @dataclass

@@ -9,7 +9,8 @@ word, and for such a word hom the relations hold exactly when the image
 words form a maximal prefix code (prefix-free, Kraft sum 1), an exact
 certificate that validate_prefix_code(h.image_words(), ...) checks in
 linear time.  compose validates only when asked.  The families write their
-image words from letters of the codomain, so they build them unchecked.
+image words from letters of the codomain, so they build them unchecked, and
+f and f_inf refuse one longer than IMAGE_WORD_MAX_LEN before building it.
 A DigitMap such as q derives its images from its digit code (a, L).  On
 O_{a^L} it is a bijection onto A^L, a uniform full code and so a maximal
 prefix code, and compose substitutes codes: D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
@@ -41,6 +42,9 @@ INF_VALIDATION_GENS = 32
 # q(r, n) refuses parameters whose r_n = r^(2^(n-1)) may have more than
 # Q_MAX_BITS bits: r_n of q(2, 40) has 2^39 + 1 of them
 Q_MAX_BITS = 2 ** 16
+# f and f_inf refuse to build an image word longer than IMAGE_WORD_MAX_LEN
+# letters: generator 10^11 of f_inf(1) would need 10^11 of them
+IMAGE_WORD_MAX_LEN = 2 ** 16
 
 
 class HomError(ValueError):
@@ -214,12 +218,21 @@ class DigitMap(GenHom):
         self.code = (a, length)
 
 
+def _image_word(k: int, letter: int, power: int, tail: Word = ()) -> Word:
+    """(s_letter)^power followed by tail, the image word of generator k; it is
+    refused with HomError, before it is built, past IMAGE_WORD_MAX_LEN."""
+    if power + len(tail) > IMAGE_WORD_MAX_LEN:
+        raise HomError("image of generator %d is a word of %d letters, past the"
+                       " bound of %d" % (k, power + len(tail), IMAGE_WORD_MAX_LEN))
+    return (letter,) * power + tail
+
+
 def _block_rule(n: int, cod: AlgebraTag) -> Callable[[int], Element]:
     """Generator n*l+i -> (s_{n+1})^l s_i for 1 <= i <= n."""
 
     def rule(k: int) -> Element:
         l, i = divmod(k - 1, n)
-        return Element(cod, {((n + 1,) * l + (i + 1,), EPS): ONE})
+        return Element(cod, {(_image_word(k, n + 1, l, (i + 1,)), EPS): ONE})
 
     return rule
 
@@ -235,9 +248,13 @@ def f(n: int, m: int) -> GenHom:
         raise HomError("%d does not divide %d" % (n, m))
     cod = AlgebraTag(n + 1)
     block = _block_rule(n, cod)
-    last = (n + 1,) * (m // n)
-    return GenHom(AlgebraTag(m + 1), cod,
-                  lambda k: block(k) if k <= m else Element(cod, {(last, EPS): ONE}))
+
+    def rule(k: int) -> Element:
+        if k <= m:
+            return block(k)
+        return Element(cod, {(_image_word(k, n + 1, m // n), EPS): ONE})
+
+    return GenHom(AlgebraTag(m + 1), cod, rule)
 
 
 def f_inf(n: int) -> GenHom:

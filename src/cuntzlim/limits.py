@@ -13,7 +13,6 @@ from .poset import Chain
 from .scalars import GaussianRational, ONE, ZERO
 
 O2 = O(2)
-MINUS_ONE = -ONE
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +57,11 @@ def psi(chain: Chain, x: Element) -> CoherentFamily:
 # word combinatorics over {1, 2}
 # ---------------------------------------------------------------------------
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
+
+
 def _check_sgword(w: Word) -> None:
     if any(a not in (1, 2) for a in w):
         raise ValueError("semigroup words use letters 1 and 2 only")
@@ -74,6 +78,7 @@ def _trailing_two_run(w: Word) -> int:
 
 def in_K(n: int, w: Word) -> bool:
     """w = (2^n)^k for some k >= 1."""
+    _check_n(n)
     _check_sgword(w)
     return len(w) > 0 and all(a == 2 for a in w) and len(w) % n == 0
 
@@ -88,6 +93,7 @@ def in_L(n: int, w: Word) -> bool:
     """Concatenations of blocks {1, 21, ..., 2^(n-1) 1, 2^n}: any maximal
     2-run before a 1 splits greedily, so membership reduces to the trailing
     2-run having length divisible by n."""
+    _check_n(n)
     _check_sgword(w)
     return len(w) > 0 and _trailing_two_run(w) % n == 0
 
@@ -96,6 +102,7 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
     """Split of L_n into L_inf and Y_n = {u, xu : x in L_inf, u in K_n}.
 
     Returns ("L_inf", None) or ("Y", (x, u)) with w = x + u, u a 2-run."""
+    _check_n(n)
     w = tuple(w)
     if not w:
         raise ValueError("word () is not in L_%d" % n)
@@ -133,28 +140,30 @@ def is_vstar_shape(n: int, left: Word, right: Word) -> bool:
     return is_v_shape(n, right, left)
 
 
-def _classify(n: int, left: Word, right: Word, c, neg_c, parts) -> None:
+def _classify(n: int, left: Word, right: Word, c, parts) -> None:
     """Append the (Q_inf, V_n, V_n*) pairs of c s_left s_right* (words in L_n
-    or empty) to the lists parts: c on the leading term, neg_c = -c on the
+    or empty) to the lists parts: c on the leading term, -c on the
     range-projection terms that rewrite a mixed monomial x 2^(an) (y 2^(bn))*
-    (a, b >= 1) by (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k."""
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    (a, b >= 1) by (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k.
+    A canonical element has no mixed monomial, so it negates no coefficient."""
+    _check_n(n)
     x, a = _split_ln(n, left)
     y, b = _split_ln(n, right)
     m = min(a, b)  # 0 unless the monomial is mixed
     lrem = x + (2,) * ((a - m) * n)
     rrem = y + (2,) * ((b - m) * n)
     parts[1 if a > b else 2 if a < b else 0].append(((lrem, rrem), c))
-    parts[0].extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), neg_c)
-                    for k in range(m * n))
+    if m:
+        neg_c = -c
+        parts[0].extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), neg_c)
+                        for k in range(m * n))
 
 
 def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element, Element]:
     """Decompose the monomial s_left s_right* (words in L_n or empty) into
     its (Q_inf, V_n, V_n*) parts; the parts sum back to the input."""
     q, v, vs = parts = ([], [], [])
-    _classify(n, tuple(left), tuple(right), ONE, MINUS_ONE, parts)
+    _classify(n, tuple(left), tuple(right), ONE, parts)
     return Element(O2, q), Element(O2, v), Element(O2, vs)
 
 
@@ -162,11 +171,10 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     """Linear extension of classify_monomial, one Element per part; sums to e."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    _check_n(n)
     parts = ([], [], [])
     for (l, r), c in e.terms.items():
-        _classify(n, l, r, c, -c, parts)
+        _classify(n, l, r, c, parts)
     return tuple(Element(O2, pairs) for pairs in parts)
 
 

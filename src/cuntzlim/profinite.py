@@ -1,11 +1,13 @@
-"""Truncated profinite integers (factorial-base residue towers), p-adic
-integers, K0 bookkeeping for Cuntz algebras, and the report showing that
-K0 does not commute with the inverse limit at desk scale."""
+"""Truncated profinite integers (factorial-base residue towers), K0
+bookkeeping for Cuntz algebras, and the report showing that K0 does not
+commute with the inverse limit at desk scale: the all-ones element of lim Z/n
+has residues 1! + ... + d! mod (d+1)!, and they stay away from every integer of
+bounded size.  Its p-adic digits are read off the same residue."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .algebra import AlgebraTag
 from .homs import GenHom, HomError
@@ -15,6 +17,8 @@ from .homs import GenHom, HomError
 # from depth 1558 on, (depth+1)! passes CPython's 4300-digit limit for printing
 # an int
 REPORT_MAX_DEPTH = 1000
+# a witness past the requested depth is looked for this many depths further
+REPORT_WITNESS_REACH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -54,28 +58,6 @@ class ProfiniteInt:
             raise ValueError("%d does not divide %d" % (n, self.modulus))
         return self.value % n
 
-    def _match(self, other: "ProfiniteInt") -> None:
-        if self.depth != other.depth:
-            raise ValueError("depth mismatch")
-
-    def __add__(self, other: "ProfiniteInt") -> "ProfiniteInt":
-        self._match(other)
-        return ProfiniteInt(self.depth, self.value + other.value)
-
-    def __mul__(self, other: "ProfiniteInt") -> "ProfiniteInt":
-        self._match(other)
-        return ProfiniteInt(self.depth, self.value * other.value)
-
-    def __neg__(self) -> "ProfiniteInt":
-        return ProfiniteInt(self.depth, -self.value)
-
-    def __sub__(self, other: "ProfiniteInt") -> "ProfiniteInt":
-        return self + (-other)
-
-
-def from_integer(z: int, depth: int) -> ProfiniteInt:
-    return ProfiniteInt(depth, z)
-
 
 def from_digits(digits) -> ProfiniteInt:
     digits = list(digits)
@@ -90,66 +72,6 @@ def from_digits(digits) -> ProfiniteInt:
 def all_ones(depth: int) -> ProfiniteInt:
     """The standard non-integral witness: every factorial digit is 1."""
     return from_digits([1] * depth)
-
-
-def project(x: ProfiniteInt, n: int) -> int:
-    return x.residue(n)
-
-
-def natural_surjection(m: int, n: int) -> Callable[[int], int]:
-    """Reduction Z/mZ -> Z/nZ along divisibility."""
-    if n < 1 or m % n:
-        raise ValueError("%d does not divide %d" % (n, m))
-    return lambda r: (r % m) % n
-
-
-# ---------------------------------------------------------------------------
-# p-adic integers at finite precision
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PAdicInt:
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self):
-        if self.p < 2 or self.precision < 1:
-            raise ValueError("need prime p >= 2 and precision >= 1")
-        object.__setattr__(self, "value", self.value % self.p ** self.precision)
-
-    @property
-    def digits(self) -> Tuple[int, ...]:
-        out, v = [], self.value
-        for _ in range(self.precision):
-            v, d = divmod(v, self.p)
-            out.append(d)
-        return tuple(out)
-
-    def _match(self, other: "PAdicInt") -> None:
-        if self.p != other.p or self.precision != other.precision:
-            raise ValueError("precision mismatch")
-
-    def __add__(self, other):
-        self._match(other)
-        return PAdicInt(self.p, self.precision, self.value + other.value)
-
-    def __mul__(self, other):
-        self._match(other)
-        return PAdicInt(self.p, self.precision, self.value * other.value)
-
-    def __neg__(self):
-        return PAdicInt(self.p, self.precision, -self.value)
-
-
-def from_integer_p(z: int, p: int, precision: int) -> PAdicInt:
-    return PAdicInt(p, precision, z)
-
-
-def project_pk(x: PAdicInt, k: int) -> int:
-    if not 1 <= k <= x.precision:
-        raise ValueError("projection exponent out of range")
-    return x.value % x.p ** k
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +108,6 @@ class K0Map:
 
     def __call__(self, cls: int) -> int:
         return cls % self.target_mod
-
-    def compose(self, inner: "K0Map") -> "K0Map":
-        # self : K0 of inner's codomain onward; inner feeds into self
-        if inner.target_mod != (self.source_mod or inner.target_mod):
-            raise ValueError("noncomposable K0 maps")
-        return K0Map(inner.source_mod, self.target_mod)
 
 
 def induced_k0_map(h: GenHom) -> K0Map:
@@ -331,37 +247,29 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
     while pk <= depth + 1:
         determined += (depth + 1) // pk
         pk *= p
+    if p_precision < 1:
+        raise ValueError("need prime p >= 2 and precision >= 1")
     moduli = [math.factorial(k) for k in range(2, depth + 2)]
-    residues = [x.residue(m) for m in moduli]
+    residues = [x.value % m for m in moduli]
     injective = math.factorial(depth + 1) > 2 * bound
 
-    wit = nonintegrality_witness(x, bound)
-    beyond = False
-    if wit is None:
-        # extend the element until the requested bound is separated; the
-        # all-ones digit pattern determines the extension uniquely
-        d = depth
-        while wit is None and d < depth + 64:
-            d += 1
-            wit = nonintegrality_witness(all_ones(d), bound)
-        beyond = wit is not None
-    wit_res = (
-        all_ones(max(wit, depth)).value % math.factorial(wit + 1)
-        if wit is not None else None
-    )
+    # all_ones(D) = all_ones(d) mod (d+1)! for d <= D, so one scan of a deeper
+    # element finds the witness, up to REPORT_WITNESS_REACH depths past the
+    # requested one; its residue mod (wit+1)! is 1! + ... + wit!
+    wit = nonintegrality_witness(all_ones(depth + REPORT_WITNESS_REACH), bound)
+    wit_res = all_ones(wit).value if wit is not None else None
 
     # largest bound separable at the requested depth: both representatives
     # of the class mod (d+1)! must exceed the bound for some d <= depth
-    best = 0
-    best_depth = None
-    for d in range(1, depth + 1):
-        m = math.factorial(d + 1)
-        r = x.value % m
-        sep = min(r, m - r) - 1
-        if sep > best:
-            best, best_depth = sep, d
+    seps = [min(r, m - r) - 1 for m, r in zip(moduli, residues)]
+    best = max(seps + [0])
+    best_depth = seps.index(best) + 1 if best else None
 
-    px = PAdicInt(p, min(p_precision, determined), x.value)
+    # the first base-p digits of x.value, as many as (depth+1)! determines
+    digits, v = [], x.value
+    for _ in range(min(p_precision, determined)):
+        v, digit = divmod(v, p)
+        digits.append(digit)
     return DiscontinuityReport(
         depth=depth,
         bound=bound,
@@ -371,12 +279,12 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         injectivity_guaranteed=injective,
         witness_depth=wit,
         witness_residue=wit_res,
-        witness_beyond_requested=beyond,
+        witness_beyond_requested=wit is not None and wit > depth,
         max_separating_bound=best,
         max_bound_witness_depth=best_depth,
         p=p,
         p_precision=p_precision,
         p_limit_k0=K0Descriptor("FreeRankOne"),
-        p_digits=px.digits,
+        p_digits=tuple(digits),
         p_determined=determined,
     )

@@ -36,7 +36,6 @@ from cuntzlim import (
     rn,
     state_omega,
     uhf_chain_check,
-    uhf_graded_vanishing,
     unit,
     validate_prefix_code,
     zero,
@@ -240,14 +239,11 @@ def test_criterion_10_k0_discontinuity():
 
 def test_criterion_11_uhf_chain():
     ok = uhf_chain_check(2, 3).ok and uhf_chain_check(3, 2).ok
-    for n in range(1, 5):
-        block = 2 ** (n - 1)
-        for l in range(-6, 7):
-            if l == 0:
-                continue
-            if uhf_graded_vanishing(2, n, l, 12) != bool(l % block):
-                ok = False
-    report(11, "uhf_chain_check(2,3), (3,2) and graded vanishing for r=2, n <= 4", ok)
+    # the push composite down to O_2 multiplies the gauge grade by 2^n at
+    # level n, as read from the maps: a map with a wrong grade scale fails
+    rep = uhf_chain_check(2, 5)
+    ok = ok and [lv.grade_scale for lv in rep.levels] == [2 ** n for n in range(1, 5)]
+    report(11, "uhf_chain_check(2,3), (3,2) and grade scale 2^n at every level of (2,5)", ok)
 
 
 def test_criterion_12_gauge_and_diagonal():

@@ -17,7 +17,6 @@ from cuntzlim import (
     q,
     rn,
     uhf_chain_check,
-    uhf_graded_vanishing,
     uhf_member,
     unit,
     validate_prefix_code,
@@ -61,17 +60,6 @@ def test_uhf_membership():
     assert uhf_member(2, 1, (1,), ())
     with pytest.raises(ValueError):
         uhf_member(1, 1, (), ())
-
-
-def test_graded_vanishing_pattern():
-    # grades not divisible by the block length are absent from the block algebra
-    for n in range(1, 5):
-        block = 2 ** (n - 1)
-        for l in range(-6, 7):
-            if l == 0:
-                continue
-            expected_vanish = bool(l % block)
-            assert uhf_graded_vanishing(2, n, l, 12) == expected_vanish, (n, l)
 
 
 def test_uhf_chain_check_reports():

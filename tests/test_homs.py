@@ -26,6 +26,7 @@ from cuntzlim import (
     validate_prefix_code,
     zero,
 )
+from cuntzlim.homs import IMAGE_WORD_MAX_LEN
 from cuntzlim.parser import render
 
 
@@ -277,3 +278,34 @@ def test_compose_validates_only_when_asked():
         compose(identity(O(2)), bad)
     c = compose(identity(O(2)), bad, validate=False)
     assert c.image_words() == [(1,), (1, 2)]
+
+
+def _word_len(e):
+    ((l, r),) = e.terms
+    return len(l) + len(r)
+
+
+def test_family_image_words_stop_at_the_bound():
+    # f_inf(n) sends generator n*l+i to a word of l + 1 letters, and f(n, m)
+    # sends generator m+1 to one of m/n letters: words of IMAGE_WORD_MAX_LEN
+    # letters are built, one letter more is refused
+    top = IMAGE_WORD_MAX_LEN
+    for n in (1, 3):
+        assert _word_len(f_inf(n).image(n * top)) == top
+        with pytest.raises(HomError, match="word of %d letters, past the bound of %d"
+                           % (top + 1, top)):
+            f_inf(n).image(n * top + 1)
+    for n in (1, 2):
+        assert _word_len(f(n, n * top).image(n * top + 1)) == top
+        with pytest.raises(HomError, match="word of %d letters" % (top + 1)):
+            f(n, n * (top + 1)).image(n * (top + 1) + 1)
+
+
+def test_f_builds_its_last_word_on_first_use():
+    # f(1, 10^11) sent generator 10^11 + 1 to a word of 10^11 letters when it
+    # was built, before any image was asked for
+    h = f(1, 10 ** 11)
+    assert render(apply(h, gen(h.domain, 1))) == "s1"
+    with pytest.raises(HomError, match="image of generator %d is a word of %d letters"
+                       % (10 ** 11 + 1, 10 ** 11)):
+        h.image(10 ** 11 + 1)

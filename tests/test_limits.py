@@ -257,11 +257,36 @@ def test_decompose_element_agrees_with_monomial_reference(rng):
     assert kinds == {"plain", "mixed", "siblings", "cancel"}
 
 
+def test_decompose_element_negates_no_coefficient(rng, monkeypatch):
+    # a canonical element has no mixed monomial, so no range-projection term
+    # and no -c is written; classify_monomial on a raw mixed monomial is
+    calls = []
+    neg = GaussianRational.__neg__
+    monkeypatch.setattr(GaussianRational, "__neg__", lambda c: calls.append(c) or neg(c))
+    cases = []
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        words = [w for w in all_words(6, min_len=0) if w == () or in_L(n, w)]
+        cases.append((n, _random_decomposable(rng, n, words)[0]))
+    del calls[:]
+    for n, e in cases:
+        decompose_element(n, e)
+    assert calls == []
+    classify_monomial(2, (2, 2), (2, 2))
+    assert calls == [ONE]
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_decomposition_refuses_n_below_one(n):
     for left, right in [((), ()), ((1,), (2, 1)), ((2, 2), ())]:
         with pytest.raises(ValueError, match="n must be >= 1"):
             classify_monomial(n, left, right)
+    # in_L(-1, (2, 2)) was True and decompose_word(-1, (1, 2)) a split; at
+    # n = 0 they divided by zero
+    for call, w in ((in_L, (2, 2)), (in_L, (1,)), (in_K, (2, 2)), (in_K, (1,)),
+                    (decompose_word, (1, 2)), (decompose_word, (2, 2))):
+        with pytest.raises(ValueError, match="n must be >= 1, got %d" % n):
+            call(n, w)
     for e in (zero(O2), unit(O2), mono(O2, (2, 1), (1,), 3)):
         with pytest.raises(ValueError, match="n must be >= 1"):
             decompose_element(n, e)

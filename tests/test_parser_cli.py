@@ -11,6 +11,7 @@ from cuntzlim import (
 )
 from cuntzlim.algebra import add, adjoint, multiply, scale
 from cuntzlim.cli import build_parser, main, render_partition
+from cuntzlim.homs import IMAGE_WORD_MAX_LEN
 from cuntzlim.parser import MAX_NESTING
 from cuntzlim.poset import Chain
 from cuntzlim.verify import (
@@ -349,7 +350,8 @@ def test_partition_refuses_wide_chains_before_building_words(monkeypatch):
         raise AssertionError("image words built")
 
     monkeypatch.setattr(GenHom, "image_words", refuse)
-    for chain in ((1, 40), (1, 10 ** 6), (1000, 2000)):
+    # 2^(10^11) was computed before it was compared with the bound
+    for chain in ((1, 40), (1, 10 ** 6), (1000, 2000), (1, 2, 10 ** 11)):
         with pytest.raises(ValueError, match="too wide"):
             render_partition(Chain(chain))
 
@@ -396,3 +398,19 @@ def test_python_dash_m_runs_the_cli():
     proc = run_process(*argv, module="cuntzlim")
     assert proc.returncode == 1 and proc.stdout.startswith("not equal")
     assert proc.stdout == run_process(*argv).stdout
+
+
+def test_cli_huge_image_words_exit_2():
+    # each of these ended in a MemoryError traceback with exit 1
+    bound = "past the bound of %d" % IMAGE_WORD_MAX_LEN
+    for argv, message in (
+            (("hom", "apply", "--family", "finf", "--args", "1", "s100000000000"), bound),
+            (("verify", "psi", "--chain", "1,2", "--expr", "s100000000000"), bound),
+            (("hom", "apply", "--family", "f", "--args", "1,100000000000", "s100000000001"),
+             bound),
+            (("partition", "--chain", "1,2,100000000000"), "too wide")):
+        proc = run_process(*argv, timeout=10)
+        assert proc.returncode == 2 and message in proc.stderr and proc.stdout == "", argv
+    proc = run_process("hom", "apply", "--family", "f", "--args", "1,100000000000", "s1",
+                       timeout=10)
+    assert proc.returncode == 0 and proc.stdout == "s1\n"

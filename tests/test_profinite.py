@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,15 +12,12 @@ from cuntzlim import (
     all_ones,
     discontinuity_report,
     f,
+    ProfiniteInt,
     from_digits,
-    from_integer,
     induced_k0_map,
     k0,
-    natural_surjection,
     nonintegrality_witness,
-    project,
 )
-from cuntzlim.profinite import PAdicInt, ProfiniteInt, from_integer_p, project_pk
 
 
 def test_profinite_canonical_value():
@@ -28,7 +26,7 @@ def test_profinite_canonical_value():
 
 
 def test_digit_expansion_and_reconstruction():
-    x = from_integer(1000, 6)
+    x = ProfiniteInt(6, 1000)
     # value = sum c_k * k!, 0 <= c_k <= k
     total = sum(c * math.factorial(k) for k, c in enumerate(x.digits, start=1))
     assert total == 1000 % x.modulus
@@ -36,7 +34,7 @@ def test_digit_expansion_and_reconstruction():
 
 
 def test_digit_bounds():
-    x = from_integer(123456, 8)
+    x = ProfiniteInt(8, 123456)
     for k, c in enumerate(x.digits, start=1):
         assert 0 <= c <= k
 
@@ -45,31 +43,6 @@ def test_all_ones_element():
     x = all_ones(5)
     assert x.digits == (1, 1, 1, 1, 1)
     assert x.value == sum(math.factorial(k) for k in range(1, 6))
-
-
-def test_ring_operations_respect_truncation():
-    a = from_integer(37, 4)
-    b = from_integer(-14, 4)
-    assert (a + b).value == from_integer(23, 4).value
-    assert (a * b).value == from_integer(-518, 4).value
-    assert (a - a).value == 0
-
-
-def test_projection_and_natural_surjections():
-    x = from_integer(1000, 6)
-    assert project(x, 7) == 1000 % 7
-    g = natural_surjection(12, 4)
-    assert g(11) == 11 % 4
-    with pytest.raises(ValueError):
-        natural_surjection(10, 4)
-
-
-def test_padic_digits():
-    x = from_integer_p(11, 2, 6)
-    assert x.digits == (1, 1, 0, 1, 0, 0)
-    assert project_pk(x, 3) == 11 % 8
-    y = from_integer_p(-1, 2, 4)
-    assert y.digits == (1, 1, 1, 1)
 
 
 def test_k0_descriptors():
@@ -84,10 +57,9 @@ def test_induced_k0_maps_and_composition():
     km = induced_k0_map(h)
     assert km.source_mod == 6 and km.target_mod == 2
     assert km(5) == 1
-    inner = induced_k0_map(f(6, 12))
-    assert km.compose(inner).target_mod == 2
-    with pytest.raises(ValueError):
-        induced_k0_map(f(2, 6)).compose(induced_k0_map(f(2, 4)))
+    # f(2, 6) o f(6, 12) = f(2, 12) induces the composite of the reductions
+    inner, whole = induced_k0_map(f(6, 12)), induced_k0_map(f(2, 12))
+    assert [km(inner(c)) for c in range(12)] == [whole(c) for c in range(12)]
 
 
 def test_nonintegrality_witness_small_bound():
@@ -157,3 +129,73 @@ def test_discontinuity_report_validates_p_and_bound():
         discontinuity_report(9, -5)
     # a precision of 10^8 costs nothing: only v_p((depth+1)!) digits are built
     assert len(discontinuity_report(9, 10, p_precision=10 ** 8).p_digits) == 8
+
+
+# SHA-256 of to_text() and to_kv() for (depth, bound, p, p_precision), taken
+# from the report that rescanned the element for each depth past the requested
+# one and took its p-adic digits from a finite-precision p-adic integer
+GOLDEN_REPORTS = [
+    ((1, 0, 2, 8),
+     "dd45a9e7c870fcfb2f93d985f60db1684c9641f117e7873e07f7f4636aaabfc1",
+     "6dc4ab1d84a65d85ad294f7a504a04336063324b142191160fe90b5129b37c84"),
+    ((3, 5, 2, 8),
+     "7ccade9ccd83c3fbf64b6a3f5783d9672ccdefdf218591054d1d92db9a65fa56",
+     "9013737bcef059ca3798feee09cbde9e9ddb914dfffcaeef42a6cc2f5faf948a"),
+    ((5, 100, 2, 8),
+     "8ba8d82ed7eade283aad5f0701eeecf8de9958e5948c43651dfb613783b6a6c3",
+     "4813e7acb619422623e8174a5acfbdfd3e201959916961db5c7a864d1d672828"),
+    ((9, 10 ** 6, 2, 8),
+     "056d6aaafb49186f3b26670d36e766c887be10f0905bda34187a21cc31012af7",
+     "70241c929fccb13ea01cfba17d5a4cf88e60bbdb640bb32eaae4630c88f93c42"),
+    ((9, 10, 3, 8),
+     "9c33e84a0b131e4867d22ae889fb7f99be5988aae127a904eb9927be9602e8c9",
+     "c2a4559beaf26800e4276d4872150c067ca09365da01fa278c791df15fcf08bc"),
+    ((12, 100, 5, 50),
+     "605b7ea4e030c3ad7cab71cdba25c7cdc5fa01f52695602a8e59d704650c2ee9",
+     "9cdc4c98e0cb40e7ae3115f59aa2a848365d451bf0e4ca631ecc87196012780a"),
+    ((20, 10, 7, 3),
+     "fd627fc6024bf81ce348f1865c68d2944d474d11453cf6b3aee938e370b446e3",
+     "ffedaa883d972ea046e0280ceabf819e5834aea3636e4cd06657e91c63ca5eb5"),
+    ((40, 10 ** 200, 3, 1),
+     "a00dea669282aafa1cffef56b81ecea72170a8f9253e666f5fdd69cc7fd4db95",
+     "b33420ab277e28d0a18f12f977645913cba0cbde98bf3ea969dafe35b94afbab"),
+    ((200, 10 ** 50, 7, 8),
+     "a91b92d90bf386e69cf4bb2e14e9d1d0ab480c15a860107cbcb2a5bf9890bccb",
+     "1cd5df539d9be0d7834a068ab65c2af91a80c8e13757c8f2fac84912c50fb117"),
+    ((1000, 10 ** 3000, 2, 8),
+     "f3a6ad9cd6c6649ab5b5209ff8728cfa37d0da04adbc9051552f69798e1b1c51",
+     "3ecd25db3602a827731a61d96ea9aad997d3afba6e2e4e7fd97ddeb6292deccd"),
+]
+
+
+def _golden_id(params):
+    depth, bound, p, precision = params
+    return "%d-%s-%d-%d" % (depth, bound if bound < 10 ** 7 else "1e%d" % (len(str(bound)) - 1),
+                            p, precision)
+
+
+@pytest.mark.parametrize("params, text_sha, kv_sha", GOLDEN_REPORTS,
+                         ids=[_golden_id(g[0]) for g in GOLDEN_REPORTS])
+def test_discontinuity_report_golden(params, text_sha, kv_sha):
+    depth, bound, p, precision = params
+    rep = discontinuity_report(depth, bound, p=p, p_precision=precision)
+    assert hashlib.sha256(rep.to_text().encode()).hexdigest() == text_sha
+    assert hashlib.sha256(rep.to_kv().encode()).hexdigest() == kv_sha
+
+
+def test_witness_is_looked_for_64_depths_past_the_requested_one():
+    # against bound 73! the all-ones element first separates at depth 73 =
+    # 9 + 64; against 74! it would first separate at depth 74, one too far
+    rep = discontinuity_report(9, math.factorial(73))
+    assert rep.witness_depth == 73 and rep.witness_beyond_requested
+    assert rep.witness_residue == sum(math.factorial(k) for k in range(1, 74))
+    assert nonintegrality_witness(all_ones(74), math.factorial(74)) == 74
+    rep = discontinuity_report(9, math.factorial(74))
+    assert rep.witness_depth is None and not rep.witness_beyond_requested
+    assert "inconclusive" in rep.to_text()
+
+
+def test_discontinuity_report_refuses_precision_below_one():
+    for precision in (0, -1):
+        with pytest.raises(ValueError, match="precision >= 1"):
+            discontinuity_report(9, 10, p_precision=precision)
