@@ -1,7 +1,7 @@
 """Truncated inverse limits over divisibility chains, the word combinatorics
 of L_n in {1, 2}*, the state fixing the first generator, and the direct-sum
-decomposition Q_n = Q_inf + V_n + V_n* of O_2: one classifier writes the parts
-of c s_J s_K*, and decompose_element runs it once per term of an element."""
+decomposition Q_n = Q_inf + V_n + V_n* of O_2: decompose_element sorts the
+terms of a canonical element into the three parts by their last letters."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -124,9 +124,9 @@ def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
     return w[: len(w) - t], t // n
 
 
-# the shape predicates read words over {1, 2} written by classify_monomial:
-# such a word is empty or in L_inf iff it does not end in 2, and it is so
-# once its maximal trailing 2-run is cut off
+# the shape predicates read the words of a canonical O_2 element whose
+# words are in L_n or empty: such a word is empty or in L_inf iff it does
+# not end in 2, and it is so once its maximal trailing 2-run is cut off
 def is_q_inf_shape(left: Word, right: Word) -> bool:
     return left[-1:] != (2,) and right[-1:] != (2,)
 
@@ -140,41 +140,33 @@ def is_vstar_shape(n: int, left: Word, right: Word) -> bool:
     return is_v_shape(n, right, left)
 
 
-def _classify(n: int, left: Word, right: Word, c, parts) -> None:
-    """Append the (Q_inf, V_n, V_n*) pairs of c s_left s_right* (words in L_n
-    or empty) to the lists parts: c on the leading term, -c on the
-    range-projection terms that rewrite a mixed monomial x 2^(an) (y 2^(bn))*
-    (a, b >= 1) by (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k.
-    A canonical element has no mixed monomial, so it negates no coefficient."""
-    _check_n(n)
-    x, a = _split_ln(n, left)
-    y, b = _split_ln(n, right)
-    m = min(a, b)  # 0 unless the monomial is mixed
-    lrem = x + (2,) * ((a - m) * n)
-    rrem = y + (2,) * ((b - m) * n)
-    parts[1 if a > b else 2 if a < b else 0].append(((lrem, rrem), c))
-    if m:
-        neg_c = -c
-        parts[0].extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), neg_c)
-                        for k in range(m * n))
-
-
 def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element, Element]:
     """Decompose the monomial s_left s_right* (words in L_n or empty) into
-    its (Q_inf, V_n, V_n*) parts; the parts sum back to the input."""
-    q, v, vs = parts = ([], [], [])
-    _classify(n, tuple(left), tuple(right), ONE, parts)
-    return Element(O2, q), Element(O2, v), Element(O2, vs)
+    its (Q_inf, V_n, V_n*) parts; the parts sum back to the input.  The raw
+    words are checked here; the canonical form of a mixed monomial
+    x 2^(an) (y 2^(bn))* is already split by the Leavitt rewrite."""
+    _check_n(n)
+    left, right = tuple(left), tuple(right)
+    _split_ln(n, left)
+    _split_ln(n, right)
+    return decompose_element(n, Element(O2, [((left, right), ONE)]))
 
 
 def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
-    """Linear extension of classify_monomial, one Element per part; sums to e."""
+    """Partition of the terms of e (words in L_n or empty) into its
+    (Q_inf, V_n, V_n*) parts, one Element each; sums to e.  A term goes to
+    V_n if its left word ends in 2, to V_n* if its right word does and to
+    Q_inf otherwise: a canonical O_2 term never has both words ending in 2."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
     _check_n(n)
     parts = ([], [], [])
-    for (l, r), c in e.terms.items():
-        _classify(n, l, r, c, parts)
+    for key, c in e.terms.items():
+        l, r = key
+        w, k = (l, 1) if l[-1:] == (2,) else (r, 2) if r[-1:] == (2,) else ((), 0)
+        if _trailing_two_run(w) % n:
+            raise ValueError("word %r is not in L_%d" % (w, n))
+        parts[k].append((key, c))
     return tuple(Element(O2, pairs) for pairs in parts)
 
 

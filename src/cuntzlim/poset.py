@@ -57,6 +57,8 @@ def cofinal_chain(enumeration: Sequence[int], length: int) -> Chain:
     """Totally ordered cofinal subsequence: y_1 = x_1 and y_k = lcm(y_{k-1}, x_k).
 
     Every enumerated x_i with i <= length divides some chain element."""
+    if length < 1:
+        raise ValueError("chain length must be >= 1, got %d" % length)
     xs = list(enumeration)
     if not xs:
         raise ValueError("empty enumeration")

@@ -100,11 +100,10 @@ def k0(tag: Union[AlgebraTag, UHF]) -> K0Descriptor:
 @dataclass(frozen=True)
 class K0Map:
     """Unit-class bookkeeping: 1 -> 1 from Z/source (or Z if None) onto
-    Z/target; always surjective since the unit class generates."""
+    Z/target, which the unit class generates."""
 
     source_mod: Optional[int]
     target_mod: int
-    surjective: bool = True
 
     def __call__(self, cls: int) -> int:
         return cls % self.target_mod

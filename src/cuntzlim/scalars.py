@@ -8,6 +8,12 @@ from typing import Union
 Rationalish = Union[int, Fraction, "GaussianRational"]
 
 
+def _exact(v) -> Fraction:
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError("Gaussian-rational parts are int or Fraction, got %s" % type(v).__name__)
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     re: Fraction
@@ -15,11 +21,11 @@ class GaussianRational:
 
     def __post_init__(self):
         # Fraction(Fraction) builds a new object; arithmetic already hands
-        # over Fractions, so only other values (ints) are converted
+        # over Fractions, so only other values are converted (ints) or refused
         if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
+            object.__setattr__(self, "re", _exact(self.re))
         if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+            object.__setattr__(self, "im", _exact(self.im))
 
     @staticmethod
     def of(v: Rationalish) -> "GaussianRational":

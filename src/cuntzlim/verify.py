@@ -13,7 +13,7 @@ from .homs import DigitMap, GenHom, apply, compose, f, q
 from .limits import (
     CoherentFamily,
     check_coherent,
-    classify_monomial,
+    decompose_element,
     in_L,
     is_q_inf_shape,
     is_v_shape,
@@ -97,13 +97,9 @@ def verify_psi(chain: Chain, expr: Element, corrupt: bool = False) -> None:
 
 def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     """Every monomial over L_n words of bounded length splits into parts that
-    sum back and satisfy disjoint shape predicates.  Monomials are classified
-    from their raw words: the canonical form of x 2^(an) (y 2^(bn))* with
-    a, b >= 1 is already split, so decomposing it would never reach the
-    mixed branch of classify_monomial.  Every monomial classify_monomial
-    writes has a word that is empty or ends in 1, so its tables are checked
-    as built.  The words are enumerated over {1, 2}, so each pair is built
-    without a letter check."""
+    sum back and satisfy disjoint shape predicates.  Each monomial is built
+    once, in canonical form, and decomposed.  The words are enumerated over
+    {1, 2}, so each pair is built without a letter check."""
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
     _check_size("max-len", max_len, 0, DECOMPOSITION_MAX_LEN)
@@ -117,7 +113,7 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     for l in words:
         for r in words:
             e = Element(tag, {(l, r): ONE})
-            qp, vp, vsp = classify_monomial(n, l, r)
+            qp, vp, vsp = decompose_element(n, e)
             if corrupt:
                 vp = vp + unit(tag)
             if not equals(qp + vp + vsp, e):

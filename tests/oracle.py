@@ -16,15 +16,20 @@ s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}* one monomial at a
 time, choosing the monomial at random; a canonical form must not depend on
 those choices.
 
-`decompose_by_monomial` decomposes an O_2 element monomial by monomial:
-c times each part of classify_monomial, summed.  The library classifies
-every term of the element in one pass instead.
+`classify_raw` classifies a monomial over L_n words from its raw words: a
+mixed monomial x 2^(an) (y 2^(bn))* (a, b >= 1) is split by the range
+projection (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k.  The
+library decomposes the canonical form instead, which the Leavitt rewrite
+has already split.  `decompose_by_monomial` decomposes an O_2 element
+monomial by monomial: c times each part of classify_raw, summed.
 
 `coherent_all_pairs` applies every connecting map of a family, not only the
 consecutive ones.  The edge references test every pair of vertices with
 hom_exists or divisibility and reduce by comparing every pair of edges.
 """
-from cuntzlim import Element, apply, classify_monomial, equals, f, hom_exists
+from cuntzlim import ONE, Element, O, apply, equals, f, hom_exists
+
+O2 = O(2)
 
 
 def _acc(table, key, c):
@@ -85,12 +90,44 @@ def shuffled_leavitt(raw, n, rng):
             _acc(terms, (l[:-1] + (i,), r[:-1] + (i,)), -c)
 
 
+def _split_ln(n, w):
+    """w (in L_n or empty) as x + (2,)*(a*n) with x empty or ending in 1."""
+    if any(a not in (1, 2) for a in w):
+        raise ValueError("semigroup words use letters 1 and 2 only")
+    x = w
+    while x[-1:] == (2,):
+        x = x[:-1]
+    t = len(w) - len(x)
+    if t % n:
+        raise ValueError("word %r is not in L_%d" % (w, n))
+    return x, t // n
+
+
+def classify_raw(n, left, right):
+    """The (Q_inf, V_n, V_n*) parts of the raw monomial s_left s_right*:
+    the leading term x 2^((a-m)n) (y 2^((b-m)n))* with m = min(a, b), and
+    for m > 0 minus the range-projection terms, all in Q_inf."""
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
+    x, a = _split_ln(n, tuple(left))
+    y, b = _split_ln(n, tuple(right))
+    m = min(a, b)
+    lrem = x + (2,) * ((a - m) * n)
+    rrem = y + (2,) * ((b - m) * n)
+    parts = ([], [], [])
+    parts[1 if a > b else 2 if a < b else 0].append(((lrem, rrem), ONE))
+    if m:
+        parts[0].extend(((lrem + (2,) * k + (1,), rrem + (2,) * k + (1,)), -ONE)
+                        for k in range(m * n))
+    return tuple(Element(O2, pairs) for pairs in parts)
+
+
 def decompose_by_monomial(n, e):
     """The (Q_inf, V_n, V_n*) parts of an O_2 element e: every monomial of e
     is classified on its own and its parts are scaled by its coefficient."""
     parts = ([], [], [])
     for (l, r), c in e.terms.items():
-        for pairs, m in zip(parts, classify_monomial(n, l, r)):
+        for pairs, m in zip(parts, classify_raw(n, l, r)):
             pairs.extend((key, c * v) for key, v in m.terms.items())
     return tuple(Element(e.tag, pairs) for pairs in parts)
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from cuntzlim import (
 )
 from cuntzlim.limits import _trailing_two_run, is_q_inf_shape, is_v_shape, is_vstar_shape
 
-from oracle import coherent_all_pairs, decompose_by_monomial
+from oracle import classify_raw, coherent_all_pairs, decompose_by_monomial
 
 O2 = O(2)
 
@@ -100,6 +101,12 @@ def test_decompose_word_rejects_nonmembers():
     for left, right in [((3, 1), ()), ((1,), (1, 3))]:
         with pytest.raises(ValueError, match="letters 1 and 2"):
             classify_monomial(2, left, right)
+    # decompose_element reads the trailing 2-run of a canonical term
+    for n, left, right in [(2, (2, 2, 2), ()), (2, (1,), (1, 2)), (3, (2, 1, 2, 2), (1,)),
+                           (2, (2, 2, 2, 2, 2), (2, 1))]:
+        w = left if left[-1:] == (2,) else right
+        with pytest.raises(ValueError, match=r"word %s is not in L_%d" % (re.escape(repr(w)), n)):
+            decompose_element(n, mono(O2, left, right))
 
 
 def test_shape_predicates_disjoint():
@@ -174,6 +181,17 @@ def test_classify_monomial_pure_shift_parts():
     assert qp.is_zero() and vp.is_zero()
 
 
+def test_classify_monomial_agrees_with_raw_word_reference():
+    # the canonical form of every monomial over L_n words up to length 6,
+    # mixed monomials x 2^(an) (y 2^(bn))* included, decomposes to the parts
+    # the range-projection rewrite writes from its raw words
+    for n in (1, 2, 3, 4):
+        words = [w for w in all_words(6, min_len=0) if w == () or in_L(n, w)]
+        for l in words:
+            for r in words:
+                assert classify_monomial(n, l, r) == classify_raw(n, l, r), (n, l, r)
+
+
 def test_decompose_element_sums_back_and_shapes():
     words = [()] + [w for w in all_words(6) if in_L(2, w)]
     for l in words[:20]:
@@ -242,7 +260,7 @@ def _random_decomposable(rng, n, words):
 
 
 def test_decompose_element_agrees_with_monomial_reference(rng):
-    # one-pass decomposition against classify_monomial term by term, on
+    # one-pass decomposition against the raw-word classifier term by term, on
     # elements whose coefficients are not 1; the canonical form of a sum of
     # L_n monomials keeps its words in L_n, so every element decomposes
     kinds = set()
@@ -259,7 +277,7 @@ def test_decompose_element_agrees_with_monomial_reference(rng):
 
 def test_decompose_element_negates_no_coefficient(rng, monkeypatch):
     # a canonical element has no mixed monomial, so no range-projection term
-    # and no -c is written; classify_monomial on a raw mixed monomial is
+    # and no -c is written
     calls = []
     neg = GaussianRational.__neg__
     monkeypatch.setattr(GaussianRational, "__neg__", lambda c: calls.append(c) or neg(c))
@@ -272,8 +290,6 @@ def test_decompose_element_negates_no_coefficient(rng, monkeypatch):
     for n, e in cases:
         decompose_element(n, e)
     assert calls == []
-    classify_monomial(2, (2, 2), (2, 2))
-    assert calls == [ONE]
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -61,6 +61,13 @@ def test_cofinal_chain_dominates_enumeration():
         assert b % a == 0 and a < b
 
 
+def test_cofinal_chain_refuses_length_below_one():
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="length must be >= 1, got %d" % length):
+            cofinal_chain([2, 3], length)
+    assert list(cofinal_chain([2, 3], 1)) == [2]
+
+
 def test_factorial_chain_is_cofinal():
     facts = [math.factorial(k) for k in range(1, 9)]
     ch = Chain(tuple(facts))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlim import GaussianRational, IMAG, ONE, ZERO
+from cuntzlim import GaussianRational, IMAG, ONE, ZERO, O, mono
 
 
 def g(re, im=0):
@@ -53,3 +53,18 @@ def test_int_parts_become_fractions():
     for z in (GaussianRational(1, 2), GaussianRational(1, 0) / GaussianRational(2, 0)):
         assert type(z.re) is Fraction and type(z.im) is Fraction
     assert z.re == Fraction(1, 2) and z.im == 0
+
+
+def test_non_rational_parts_refused():
+    # a float would enter as its binary expansion and a string as a parsed
+    # Fraction; both are refused wherever a scalar is made
+    for v in (0.1, 0.5, "1/3", None):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            GaussianRational(v, 0)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            GaussianRational(0, v)
+    with pytest.raises(TypeError):
+        GaussianRational(1, 0) + 0.5
+    with pytest.raises(TypeError):
+        mono(O(2), (1,), (), 0.1)
+    assert GaussianRational(True, 0) == ONE
