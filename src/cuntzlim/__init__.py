@@ -20,6 +20,7 @@ from .homs import (
     DigitMap,
     GenHom,
     HomError,
+    WordHom,
     apply,
     compose,
     f,

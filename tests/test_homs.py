@@ -1,15 +1,22 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cuntzlim import (
+    AlgebraError,
+    Chain,
     CodeReport,
     DigitMap,
+    Element,
+    GaussianRational,
     GenHom,
     HomError,
     O,
     O_INF,
+    WordHom,
     apply,
     compose,
     equals,
@@ -20,12 +27,14 @@ from cuntzlim import (
     identity,
     make_hom,
     mono,
+    psi,
     q,
     rn,
     unit,
     validate_prefix_code,
     zero,
 )
+from cuntzlim import homs
 from cuntzlim.homs import IMAGE_WORD_MAX_LEN
 from cuntzlim.parser import render
 
@@ -309,3 +318,108 @@ def test_f_builds_its_last_word_on_first_use():
     with pytest.raises(HomError, match="image of generator %d is a word of %d letters"
                        % (10 ** 11 + 1, 10 ** 11)):
         h.image(10 ** 11 + 1)
+
+
+# ---------------------------------------------------------------------------
+# word homs: apply by concatenating code words, against the multiply chain
+# ---------------------------------------------------------------------------
+
+WORD_HOMS = ([f_inf(n) for n in range(1, 7)]
+             + [q(2, 1), q(3, 1), DigitMap(O(8), 2, 3), DigitMap(O(9), 3, 2)]
+             + [identity(O(3)), identity(O_INF)])
+# letters drawn for an O_inf domain: f_inf(n) words up to about 20/n + 1 long
+INF_LETTERS = 20
+
+
+def _by_products(h):
+    """The same generator images behind an Element rule, so apply multiplies
+    them out one letter at a time."""
+    return GenHom(h.domain, h.codomain, h.image)
+
+
+def _letters(h):
+    return h.domain.ngens or INF_LETTERS
+
+
+@st.composite
+def _word_hom_inputs(draw):
+    """A word hom and an element of its domain: random terms, and for a
+    DigitMap (a, L) sometimes a block sum  sum_d c s_{J g_d} s_{K g'_d}*  over
+    two runs of a generators whose words differ only in their last letter d,
+    which the Leavitt rewrite collapses to one term of the codomain."""
+    h = draw(st.sampled_from(WORD_HOMS))
+    k = _letters(h)
+    word = st.lists(st.integers(1, k), max_size=3).map(tuple)
+    coeff = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+                      st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    pairs = draw(st.lists(st.tuples(st.tuples(word, word), coeff), max_size=5))
+    if h.code and draw(st.booleans()):
+        a = h.code[0]
+        j, r, c = draw(word), draw(word), draw(coeff)
+        b1, b2 = (draw(st.integers(0, k // a - 1)) for _ in range(2))
+        pairs += [((j + (b1 * a + d,), r + (b2 * a + d,)), c) for d in range(1, a + 1)]
+    return h, Element(h.domain, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word_hom_inputs())
+@example((q(2, 1), mono(O(4), (2,), (4,))))
+@example((q(2, 1), mono(O(4), (1,), (3,)) + mono(O(4), (2,), (4,))))
+def test_word_apply_equals_multiply_chain(case):
+    h, e = case
+    assert isinstance(h, WordHom)
+    assert apply(h, e) == apply(_by_products(h), e)
+
+
+def test_word_apply_rewrites_and_combines():
+    # q(2, 1) sends s2, s3, s4 to s1 s2, s2 s1, s2 s2: s2 s4* concatenates
+    # to s_{12} s_{22}*, whose words both end in 2, and the Leavitt rewrite
+    # leaves s1 s2* - s_{11} s_{21}*, whose second term cancels the image of
+    # s1 s3*
+    h = q(2, 1)
+    e = mono(O(4), (2,), (4,))
+    img = apply(h, e)
+    assert img == mono(O(2), (1,), (2,)) - mono(O(2), (1, 1), (2, 1))
+    both = e + mono(O(4), (1,), (3,))
+    assert apply(h, both) == mono(O(2), (1,), (2,))
+    for x in (e, both):
+        assert apply(h, x) == apply(_by_products(h), x)
+
+
+def test_word_homs_apply_without_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a word hom applied by products")
+
+    cases = []
+    for h in WORD_HOMS:
+        k = _letters(h)
+        e = mono(h.domain, (1, k, 2), (k, k), GaussianRational(1, 2)) + unit(h.domain)
+        cases.append((h, e, apply(_by_products(h), e)))
+    monkeypatch.setattr(homs, "multiply", refuse)
+    monkeypatch.setattr(homs, "adjoint", refuse)
+    for h, e, want in cases:
+        assert apply(h, e) == want
+    with pytest.raises(AssertionError, match="by products"):
+        apply(f(1, 2), gen(O(3), 1))
+    # generator 65536 of O_inf goes to s2^65535 s1 under f_inf(1)
+    fam = psi(Chain((1, 2)), gen(O_INF, 65536))
+    ((first, right),) = fam.entries[0].terms
+    assert first == (2,) * 65535 + (1,) and right == ()
+
+
+def test_word_hom_checks_and_caches_its_words():
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return (1,) * k
+
+    h = WordHom(O(3), O(2), rule)
+    assert h.word(2) == h.word(2) == (1, 1)
+    assert h.image(2) == mono(O(2), (1, 1))
+    assert h.image_words() == [(1,), (1, 1), (1, 1, 1)]
+    assert calls == [2, 1, 3]
+    for k in (0, 4):
+        with pytest.raises(AlgebraError, match="out of range"):
+            h.word(k)
+    assert calls == [2, 1, 3]

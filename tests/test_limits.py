@@ -1,12 +1,15 @@
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntzlim import (
     Chain,
     CoherentFamily,
+    Element,
     GaussianRational,
     ONE,
     O,
@@ -349,6 +352,23 @@ def test_consecutive_coherence_agrees_with_all_pairs_oracle():
             assert verdict == (g is fam)
             seen[verdict] += 1
     assert seen[True] == len(_psi_chains()) and seen[False] > 2 * seen[True]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_psi_chains()),
+       st.lists(st.tuples(st.lists(st.integers(1, 30), max_size=4),
+                          st.lists(st.integers(1, 30), max_size=4),
+                          st.fractions(-3, 3, max_denominator=4)), max_size=6))
+def test_psi_entries_keep_the_terms_of_x(ch, triples):
+    # f_inf(n) sends each letter to a word of the prefix code (n+1)*{1..n}:
+    # distinct keys stay distinct and no image word ends in n+1, so every
+    # entry has the terms and coefficients of x, with no rewrite and no
+    # combination
+    x = Element(O_INF, [((tuple(l), tuple(r)), c) for l, r, c in triples])
+    for n, entry in zip(ch, psi(ch, x).entries):
+        assert len(entry.terms) == len(x.terms)
+        assert Counter(entry.terms.values()) == Counter(x.terms.values())
+        assert all(w[-1:] != (n + 1,) for key in entry.terms for w in key)
 
 
 def test_psi_compatible_with_connecting_maps():
