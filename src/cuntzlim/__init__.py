@@ -25,6 +25,7 @@ from .homs import (
     compose,
     f,
     f_inf,
+    f_preimage,
     hom_exists,
     identity,
     make_hom,

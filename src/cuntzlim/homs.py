@@ -20,6 +20,9 @@ substitutions) multiplies out its generator images one letter at a time.
 f keeps that path until the benchmark stops keeping one sample per
 operation: as a word hom it makes an inverse-system pass 4-5x faster, so a
 timed run attempts 4-5x the operations and its peak RSS grows with them.
+f_preimage(n, m, x) inverts f(n, m) without applying it: f's words form a
+prefix code, so each word of x decodes in one read, and a canonical term of
+the preimage maps to a canonical term of x.
 A DigitMap such as q derives its words from its digit code (a, L).  On
 O_{a^L} it is a bijection onto A^L, a uniform full code and so a maximal
 prefix code, and compose substitutes codes: D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
@@ -288,15 +291,58 @@ def _block_rule(n: int) -> Callable[[int], Word]:
     return rule
 
 
+def _check_divides(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise HomError("n and m must be positive")
+    if m % n:
+        raise HomError("%d does not divide %d" % (n, m))
+
+
+def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
+    """The y in R_m with f(n, m)(y) = x, or None when x has no preimage.
+
+    f's words form the prefix code {(n+1)^l i : l < m/n} + {(n+1)^(m/n)}, so
+    each word of x decodes in one left-to-right read: a run of m/n letters
+    n+1 is generator m+1, and a run of l < m/n letters n+1 then a letter
+    i <= n is generator n*l+i.  A word that ends inside a shorter run of n+1
+    does not decode, and then no y exists.  Decoding is one-to-one, and a
+    decoded word ends in m+1 iff its code word ends in n+1, so canonical
+    terms of x give canonical terms of y: y keeps x's coefficients and needs
+    no rewrite."""
+    _check_divides(n, m)
+    if x.tag != AlgebraTag(n + 1):
+        raise AlgebraError("algebra mismatch: %s vs f(%d, %d) codomain O_%d"
+                           % (x.tag, n, m, n + 1))
+    top, last = m // n, n + 1
+
+    def decode(w: Word) -> Optional[Word]:
+        out, run = [], 0
+        for a in w:
+            if a != last:
+                out.append(n * run + a)
+                run = 0
+            elif run + 1 == top:
+                out.append(m + 1)
+                run = 0
+            else:
+                run += 1
+        return None if run else tuple(out)
+
+    terms = {}
+    for (l, r), c in x.terms.items():
+        dl, dr = decode(l), decode(r)
+        if dl is None or dr is None:
+            return None
+        terms[dl, dr] = c
+    return Element(AlgebraTag(m + 1), terms)
+
+
 def f(n: int, m: int) -> GenHom:
     """The connecting map R_m -> R_n of the inverse system (n divides m):
     generator n*l+i -> (s_{n+1})^l s_i and generator m+1 -> (s_{n+1})^{m/n}.
     For n = m this is the identity.
     """
-    if n < 1 or m < 1:
-        raise HomError("n and m must be positive")
-    if m % n:
-        raise HomError("%d does not divide %d" % (n, m))
+    _check_divides(n, m)
     cod = AlgebraTag(n + 1)
     block = _block_rule(n)
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .algebra import AlgebraError, Element, O, Word, equals
-from .homs import apply, f, f_inf
+from .algebra import AlgebraError, Element, O, Word
+from .homs import apply, f_inf, f_preimage
 from .poset import Chain
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -40,9 +40,16 @@ class CoherentFamily:
 def check_coherent(fam: CoherentFamily) -> bool:
     """The consecutive constraints f(n_j, n_{j+1})(x_{j+1}) = x_j.  Every
     other pair follows from them by the inverse-system law
-    f(n,m) o f(m,l) = f(n,l), which verify_inverse_system checks."""
+    f(n,m) o f(m,l) = f(n,l), which verify_inverse_system checks.
+
+    Each constraint is decided by decoding x_j, not by applying f: f's words
+    form a prefix code, so f sends distinct words to distinct words, and
+    only generator m+1's word ends in n+1.  A canonical term of x_{j+1}
+    therefore maps to a canonical term, one-to-one, with its coefficient,
+    and f(y) = x holds iff every term of x decodes and the decoded terms
+    are those of y (f_preimage)."""
     ns, xs = fam.chain.elements, fam.entries
-    return all(equals(apply(f(n, m), y), x)
+    return all(f_preimage(n, m, x) == y
                for n, m, x, y in zip(ns, ns[1:], xs, xs[1:]))
 
 

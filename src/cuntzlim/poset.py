@@ -138,8 +138,10 @@ def reversed_relabeled(edges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]
 
 
 def embeddability_graph(max_generators: int, reduce: bool = False) -> Digraph:
-    verts = ["O%d" % k for k in range(2, max_generators + 1)]
+    # the edges first: they refuse a graph past POSET_MAX before any vertex
+    # label is built
     edges = [
         ("O%d" % m, "O%d" % n) for m, n in embeddability_edges(max_generators, reduce)
     ]
+    verts = ["O%d" % k for k in range(2, max_generators + 1)]
     return Digraph(verts, edges)

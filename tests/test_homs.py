@@ -22,6 +22,7 @@ from cuntzlim import (
     equals,
     f,
     f_inf,
+    f_preimage,
     gen,
     hom_exists,
     identity,
@@ -37,6 +38,8 @@ from cuntzlim import (
 from cuntzlim import homs
 from cuntzlim.homs import IMAGE_WORD_MAX_LEN
 from cuntzlim.parser import render
+
+from conftest import random_element
 
 
 def test_f_1_2_generator_images():
@@ -318,6 +321,82 @@ def test_f_builds_its_last_word_on_first_use():
     with pytest.raises(HomError, match="image of generator %d is a word of %d letters"
                        % (10 ** 11 + 1, 10 ** 11)):
         h.image(10 ** 11 + 1)
+
+
+# ---------------------------------------------------------------------------
+# f's preimage: decoding through the prefix code of f's words
+# ---------------------------------------------------------------------------
+
+DIVISOR_PAIRS = [(n, m) for m in range(1, 13) for n in range(1, m + 1) if m % n == 0]
+
+
+@st.composite
+def _f_domain_elements(draw):
+    """n | m <= 12 and a canonical element y of R_m = O_{m+1}; each drawn word
+    may get the letter m+1 appended, the one generator whose word under
+    f(n, m) ends in n+1."""
+    n, m = draw(st.sampled_from(DIVISOR_PAIRS))
+    word = st.tuples(st.lists(st.integers(1, m + 1), max_size=4), st.booleans()).map(
+        lambda wt: tuple(wt[0]) + ((m + 1,) if wt[1] else ()))
+    coeff = st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+                      st.sampled_from([Fraction(0), Fraction(1, 2)]))
+    pairs = draw(st.lists(st.tuples(st.tuples(word, word), coeff), max_size=5))
+    return n, m, Element(O(m + 1), pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_f_domain_elements())
+@example((1, 2, mono(O(3), (3,), (1, 3)) + mono(O(3), (3, 3, 2), ())))
+def test_f_preimage_inverts_f(case):
+    n, m, y = case
+    x = apply(f(n, m), y)
+    # canonical terms go to canonical terms one-to-one, so nothing combines
+    assert len(x.terms) == len(y.terms)
+    assert f_preimage(n, m, x) == y
+
+
+@pytest.mark.parametrize("n,m", [p for p in DIVISOR_PAIRS if p[1] // p[0] > 1])
+def test_f_preimage_refuses_a_word_inside_a_short_run(n, m):
+    # a word ending in (n+1)^j with 0 < j < m/n is no concatenation of f's words
+    decodable = apply(f(n, m), mono(O(m + 1), (1, m + 1), (m,)))
+    for j in range(1, m // n):
+        run = (n + 1,) * j
+        for bad in (mono(O(n + 1), (1,) + run), mono(O(n + 1), (n,), run)):
+            assert f_preimage(n, m, bad) is None
+            assert f_preimage(n, m, decodable + bad) is None
+    assert f_preimage(1, 2, gen(O(2), 2)) is None
+
+
+def test_f_preimage_checks_its_input():
+    with pytest.raises(AlgebraError, match="algebra mismatch"):
+        f_preimage(1, 2, gen(O(3), 1))
+    with pytest.raises(AlgebraError, match="algebra mismatch"):
+        f_preimage(2, 4, gen(O_INF, 1))
+    with pytest.raises(HomError, match="does not divide"):
+        f_preimage(2, 3, gen(O(3), 1))
+    with pytest.raises(HomError, match="positive"):
+        f_preimage(0, 2, gen(O(2), 1))
+
+
+def test_f_preimage_of_f_n_n_is_the_identity():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for _ in range(20):
+            x = random_element(rng, O(n + 1), max_len=4)
+            assert f_preimage(n, n, x) == x
+
+
+def test_f_preimage_with_a_long_last_word_builds_no_word(monkeypatch):
+    # under f(1, 10^11) generator 10^11 + 1 has a word of 10^11 letters; the
+    # decoder only counts the run of 2s and never builds a code word
+    def refuse(*args):
+        raise AssertionError("a code word was built")
+
+    monkeypatch.setattr(homs, "_image_word", refuse)
+    m = 10 ** 11
+    assert f_preimage(1, m, gen(O(2), 1)) == gen(O(m + 1), 1)
+    assert f_preimage(1, m, mono(O(2), (2,) * 5 + (1,), (1,))) == mono(O(m + 1), (6,), (1,))
+    assert f_preimage(1, m, gen(O(2), 2)) is None
 
 
 # ---------------------------------------------------------------------------

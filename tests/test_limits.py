@@ -22,6 +22,8 @@ from cuntzlim import (
     equals,
     f,
     f_inf,
+    f_preimage,
+    gen,
     in_K,
     in_L,
     in_L_inf,
@@ -31,7 +33,9 @@ from cuntzlim import (
     unit,
     zero,
 )
+from cuntzlim import homs
 from cuntzlim.limits import _trailing_two_run, is_q_inf_shape, is_v_shape, is_vstar_shape
+from cuntzlim.verify import verify_psi
 
 from oracle import classify_raw, coherent_all_pairs, decompose_by_monomial
 
@@ -352,6 +356,77 @@ def test_consecutive_coherence_agrees_with_all_pairs_oracle():
             assert verdict == (g is fam)
             seen[verdict] += 1
     assert seen[True] == len(_psi_chains()) and seen[False] > 2 * seen[True]
+
+
+def _entries(n):
+    """Random elements of R_n = O_{n+1}: up to three terms of short words."""
+    word = st.lists(st.integers(1, n + 1), max_size=3).map(tuple)
+    pairs = st.lists(st.tuples(st.tuples(word, word),
+                               st.fractions(-2, 2, max_denominator=3)), max_size=3)
+    return pairs.map(lambda ps: Element(O(n + 1), ps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_psi_chains()), st.data())
+def test_coherence_of_random_families_agrees_with_all_pairs_oracle(ch, data):
+    # families outside psi's image: the f-images of a random last entry, whose
+    # words may end in the letter n+1 that no psi entry ends in, with a random
+    # subset of the entries (none, some or all) replaced by random elements
+    top = ch[-1]
+    last = data.draw(_entries(top))
+    entries = [apply(f(n, top), last) for n in ch]
+    for j in data.draw(st.sets(st.integers(0, len(ch) - 1))):
+        entries[j] = data.draw(_entries(ch[j]))
+    fam = CoherentFamily(ch, tuple(entries))
+    assert check_coherent(fam) == coherent_all_pairs(fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_psi_chains()),
+       st.lists(st.tuples(st.lists(st.integers(1, 12), max_size=3),
+                          st.lists(st.integers(1, 12), max_size=3),
+                          st.fractions(-3, 3, max_denominator=4)), min_size=1, max_size=4),
+       st.data())
+def test_one_perturbed_coefficient_breaks_coherence(ch, triples, data):
+    x = Element(O_INF, [((tuple(l), tuple(r)), c) for l, r, c in triples])
+    fam = psi(ch, x)
+    assert check_coherent(fam) and coherent_all_pairs(fam)
+    entries = list(fam.entries)
+    j = data.draw(st.integers(0, len(ch) - 1))
+    if entries[j].terms:
+        key = data.draw(st.sampled_from(sorted(entries[j].terms)))
+        c = entries[j].terms[key] + data.draw(st.sampled_from([ONE, GaussianRational(0, 1)]))
+        entries[j] = Element(entries[j].tag, {**entries[j].terms, key: c})
+    else:
+        entries[j] = unit(entries[j].tag)
+    bad = CoherentFamily(ch, tuple(entries))
+    assert not check_coherent(bad) and not coherent_all_pairs(bad)
+
+
+def test_coherent_family_outside_psi_image():
+    # f(1, 2) sends s2 to s2 s1 and s3 to s2 s2, so (s2 s2, s3) is coherent;
+    # s3 ends in the letter 3 of R_2 = O_3 and decodes under no f(2, m) with
+    # m >= 4, so the family is not a psi image and does not extend past 2
+    fam = CoherentFamily(Chain((1, 2)), (mono(O(2), (2, 2)), gen(O(3), 3)))
+    assert check_coherent(fam) and coherent_all_pairs(fam)
+    for m in (4, 6, 8):
+        assert f_preimage(2, m, gen(O(3), 3)) is None
+
+
+def test_coherence_is_decided_without_products(monkeypatch):
+    # check_coherent decodes entries through f's prefix code and takes no
+    # product, so a 65536-letter entry is decided in linear time
+    def refuse(*args):
+        raise AssertionError("coherence decided by products")
+
+    x = mono(O_INF, (3, 1), (2,)) + mono(O_INF, (1,), (), 2)
+    families = [psi(ch, x) for ch in _psi_chains()]
+    monkeypatch.setattr(homs, "multiply", refuse)
+    monkeypatch.setattr(homs, "adjoint", refuse)
+    assert all(check_coherent(fam) for fam in families)
+    verify_psi(Chain((1, 2)), gen(O_INF, 65536))
+    with pytest.raises(AssertionError, match="by products"):
+        apply(f(1, 2), gen(O(3), 1))
 
 
 @settings(max_examples=150, deadline=None)

@@ -408,9 +408,18 @@ def test_cli_huge_image_words_exit_2():
             (("verify", "psi", "--chain", "1,2", "--expr", "s100000000000"), bound),
             (("hom", "apply", "--family", "f", "--args", "1,100000000000", "s100000000001"),
              bound),
-            (("partition", "--chain", "1,2,100000000000"), "too wide")):
+            (("partition", "--chain", "1,2,100000000000"), "too wide"),
+            # built all 10^8 vertex labels before the edges refused the bound
+            (("poset", "graph", "--max", "100000000"), "too large")):
         proc = run_process(*argv, timeout=10)
         assert proc.returncode == 2 and message in proc.stderr and proc.stdout == "", argv
     proc = run_process("hom", "apply", "--family", "f", "--args", "1,100000000000", "s1",
                        timeout=10)
     assert proc.returncode == 0 and proc.stdout == "s1\n"
+
+
+def test_cli_verify_psi_on_a_long_word_is_quick():
+    # the chain-2 entry of s65536 is a word of 32768 letters; deciding its
+    # coherence by multiplying out f(1, 2) took 16 s
+    proc = run_process("verify", "psi", "--chain", "1,2", "--expr", "s65536", timeout=10)
+    assert proc.returncode == 0 and proc.stdout == "psi image coherent on chain [1, 2]\n"
