@@ -58,21 +58,16 @@ from .limits import (
 )
 from .profinite import (
     DiscontinuityReport,
-    K0Descriptor,
-    K0Map,
     ProfiniteInt,
-    UHF,
     all_ones,
     discontinuity_report,
     from_digits,
-    induced_k0_map,
-    k0,
+    k0_class,
     nonintegrality_witness,
 )
 from .gauge import (
-    FixedPointReport,
     UhfChainReport,
-    fixed_point_report,
+    gauge_witness,
     is_diagonal,
     is_gauge_invariant,
     uhf_chain_check,

@@ -1,17 +1,17 @@
-"""Gauge and torus-diagonal fixed-point checks, and the checks of the
+"""The gauge grade |J| - |K| and torus-diagonal monomials, the gauge
+witness of a word hom read from its image words, and the checks of the
 generator-doubling chain whose limit is uniformly hyperfinite: each level's
 squaring map and its push composite down to O_r are decided from their digit
 codes, and a composite's code length is the factor by which it scales the
-gauge grade |J| - |K|.  Every reported field is read from the maps under
-test, so a map that breaks a level changes its report."""
+gauge grade.  Every reported field is read from the maps under test, so a
+map that breaks a level changes its report."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .algebra import AlgebraError, Element, Word
-from .homs import GenHom, apply, compose, q, rn
+from .algebra import AlgebraError, Element, Word, mono
+from .homs import GenHom, HomError, apply, compose, q, rn
 
 
 def is_gauge_invariant(e: Element) -> bool:
@@ -24,44 +24,22 @@ def is_diagonal(e: Element) -> bool:
     return all(l == r for (l, r) in e.terms)
 
 
-@dataclass
-class FixedPointReport:
-    diagonal_preserved: bool
-    diagonal_failures: List[Tuple[Word, Word]]
-    gauge_witness: Optional[Tuple[Tuple[Word, Word], Element]]
-
-
-def _words(n: int, max_len: int, min_len: int = 0):
-    for length in range(min_len, max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
-
-
-def fixed_point_report(h: GenHom, sample_len: int) -> FixedPointReport:
-    """Checks that diagonal monomials stay diagonal, and hunts for a
-    gauge-invariant monomial whose image leaves the gauge-invariant part."""
+def gauge_witness(h: GenHom) -> Optional[Tuple[Tuple[Word, Word], Element]]:
+    """The first grade-0 monomial s_i s_j*, (i, j) in lexicographic order,
+    that h maps out of the gauge-invariant part, with its image; None when h
+    keeps the grading.  h must send each generator to one isometry word: it
+    maps s_J s_K* to s_{h(J)} s_{h(K)}*, and the Leavitt rewrite keeps the
+    grade, so diagonal monomials stay diagonal and the grading breaks iff two
+    image words differ in length.  Then (1, j) is the first such pair."""
     if not (h.domain.is_finite and h.codomain.is_finite):
-        raise AlgebraError("fixed-point checks need finite Cuntz tags")
-    from .algebra import mono
-
-    m = h.domain.ngens
-    failures = []
-    for w in _words(m, sample_len, 1):
-        img = apply(h, mono(h.domain, w, w))
-        if not is_diagonal(img):
-            failures.append((w, w))
-    witness = None
-    for length in range(1, sample_len + 1):
-        for l in _words(m, length, length):
-            for r in _words(m, length, length):
-                img = apply(h, mono(h.domain, l, r))
-                if not is_gauge_invariant(img):
-                    witness = ((l, r), img)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return FixedPointReport(not failures, failures, witness)
+        raise AlgebraError("gauge witnesses need finite Cuntz tags")
+    words = h.image_words()
+    if not words:
+        raise HomError("%r sends some generator to no single isometry word" % (h,))
+    j = next((j for j, w in enumerate(words, 1) if len(w) != len(words[0])), None)
+    if j is None:
+        return None
+    return ((1,), (j,)), apply(h, mono(h.domain, (1,), (j,)))
 
 
 def uhf_member(r: int, n: int, left: Word, right: Word) -> bool:

@@ -385,10 +385,10 @@ def hom_exists(m_gens: Union[int, float, None], n_gens: Union[int, float, None])
     def is_inf(v):
         return v is None or v == math.inf
 
+    if any(not is_inf(v) and v < 2 for v in (m_gens, n_gens)):
+        raise HomError("generator counts must be >= 2")
     if is_inf(n_gens):
         return is_inf(m_gens)  # no O_m -> O_inf for finite m
     if is_inf(m_gens):
         return True
-    if m_gens < 2 or n_gens < 2:
-        raise HomError("generator counts must be >= 2")
     return (m_gens - 1) % (n_gens - 1) == 0

@@ -39,6 +39,8 @@ class Chain:
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ValueError("chain must be nonempty")
+        if not all(isinstance(a, int) and a >= 1 for a in elems):
+            raise ValueError("chain elements must be positive integers: %r" % (elems,))
         for a, b in zip(elems, elems[1:]):
             if not leq(a, b) or a == b:
                 raise ValueError("not strictly increasing under divisibility: %r" % (elems,))

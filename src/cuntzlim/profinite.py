@@ -1,16 +1,16 @@
-"""Truncated profinite integers (factorial-base residue towers), K0
-bookkeeping for Cuntz algebras, and the report showing that K0 does not
-commute with the inverse limit at desk scale: the all-ones element of lim Z/n
-has residues 1! + ... + d! mod (d+1)!, and they stay away from every integer of
-bounded size.  Its p-adic digits are read off the same residue."""
+"""Truncated profinite integers (factorial-base residue towers), the K0
+class of a diagonal element of a Cuntz algebra, and the report showing that
+K0 does not commute with the inverse limit at desk scale: the all-ones
+element of lim Z/n has residues 1! + ... + d! mod (d+1)!, and they stay away
+from every integer of bounded size.  Its p-adic digits are read off the same
+residue."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from .algebra import AlgebraTag
-from .homs import GenHom, HomError
+from .algebra import Element
 
 # discontinuity_report refuses depths past REPORT_MAX_DEPTH: at depth 1000 its
 # residues mod up to 1001! have up to 2571 digits and the report is 2.4 MB;
@@ -75,50 +75,22 @@ def all_ones(depth: int) -> ProfiniteInt:
 
 
 # ---------------------------------------------------------------------------
-# K0 bookkeeping
+# K0 classes of elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UHF:
-    r: int
-
-
-@dataclass(frozen=True)
-class K0Descriptor:
-    kind: str  # "CyclicMod" | "FreeRankOne" | "DenominatorGroup"
-    n: Optional[int] = None
-
-
-def k0(tag: Union[AlgebraTag, UHF]) -> K0Descriptor:
-    if isinstance(tag, UHF):
-        return K0Descriptor("DenominatorGroup", tag.r)
-    if tag.is_finite:
-        return K0Descriptor("CyclicMod", tag.ngens - 1)
-    return K0Descriptor("FreeRankOne")
-
-
-@dataclass(frozen=True)
-class K0Map:
-    """Unit-class bookkeeping: 1 -> 1 from Z/source (or Z if None) onto
-    Z/target, which the unit class generates."""
-
-    source_mod: Optional[int]
-    target_mod: int
-
-    def __call__(self, cls: int) -> int:
-        return cls % self.target_mod
-
-
-def induced_k0_map(h: GenHom) -> K0Map:
-    src = k0(h.domain)
-    tgt = k0(h.codomain)
-    if tgt.kind != "CyclicMod":
-        raise HomError("K0 bookkeeping targets finite Cuntz algebras only")
-    if src.kind == "CyclicMod":
-        if src.n % tgt.n:
-            raise HomError("unit classes do not align: %d -> %d" % (src.n, tgt.n))
-        return K0Map(src.n, tgt.n)
-    return K0Map(None, tgt.n)
+def k0_class(e: Element) -> int:
+    """The K0 class of a diagonal element with integer coefficients, a sum of
+    terms c s_w s_w*.  Every range projection s_w s_w* is equivalent to I, so
+    the class is the coefficient sum: mod k-1 in O_k, where K0 = Z/(k-1), and
+    the integer itself in O_inf, where K0 = Z.  The Leavitt rewrite changes the
+    sum by k-1, so it is well defined on the canonical form."""
+    total = 0
+    for (l, r), c in e.terms.items():
+        if l != r or c.im or c.re.denominator != 1:
+            raise ValueError("no K0 class: the term %r is not an integer multiple"
+                             " of a range projection" % (Element(e.tag, {(l, r): c}),))
+        total += c.re.numerator
+    return total % (e.tag.ngens - 1) if e.tag.is_finite else total
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +112,6 @@ def nonintegrality_witness(x: ProfiniteInt, bound: int) -> Optional[int]:
 class DiscontinuityReport:
     depth: int
     bound: int
-    limit_k0: K0Descriptor
     residue_moduli: List[int]
     residues: List[int]
     injectivity_guaranteed: bool
@@ -151,7 +122,6 @@ class DiscontinuityReport:
     max_bound_witness_depth: Optional[int]
     p: int
     p_precision: int
-    p_limit_k0: K0Descriptor
     p_digits: Tuple[int, ...]
     p_determined: int  # v_p((depth+1)!): the digits the residue class fixes
 
@@ -159,7 +129,7 @@ class DiscontinuityReport:
         lines = [
             "depth=%d" % self.depth,
             "bound=%d" % self.bound,
-            "limit_k0=%s" % self.limit_k0.kind,
+            "limit_k0=FreeRankOne",
             "residue_moduli=%s" % ",".join(map(str, self.residue_moduli)),
             "all_ones_residues=%s" % ",".join(map(str, self.residues)),
             "injectivity_guaranteed=%s" % str(self.injectivity_guaranteed).lower(),
@@ -178,7 +148,7 @@ class DiscontinuityReport:
             ),
             "p=%d" % self.p,
             "p_precision=%d" % self.p_precision,
-            "p_limit_k0=%s" % self.p_limit_k0.kind,
+            "p_limit_k0=FreeRankOne",
             "p_all_ones_digits=%s" % ",".join(map(str, self.p_digits)),
         ]
         if self.p_determined < self.p_precision:
@@ -188,7 +158,7 @@ class DiscontinuityReport:
     def to_text(self) -> str:
         w = []
         w.append("K0 discontinuity report (depth %d, bound %d)" % (self.depth, self.bound))
-        w.append("  limit side:      K0(lim O_n) = Z (%s)" % self.limit_k0.kind)
+        w.append("  limit side:      K0(lim O_n) = Z (FreeRankOne)")
         w.append("  residue side:    lim K0(O_n) truncated along the factorial chain")
         w.append("    moduli:        %s" % ", ".join(map(str, self.residue_moduli)))
         w.append("    all-ones elt:  %s" % ", ".join(map(str, self.residues)))
@@ -216,9 +186,9 @@ class DiscontinuityReport:
             % (self.depth, self.max_separating_bound, self.max_bound_witness_depth)
         )
         w.append(
-            "  p-adic variant (p=%d, precision %d): K0(lim O_{p^n+1}) = Z (%s)"
+            "  p-adic variant (p=%d, precision %d): K0(lim O_{p^n+1}) = Z (FreeRankOne)"
             " vs truncated Z_p digits %s"
-            % (self.p, self.p_precision, self.p_limit_k0.kind, list(self.p_digits))
+            % (self.p, self.p_precision, list(self.p_digits))
         )
         if self.p_determined < self.p_precision:
             w[-1] += " (%d! determines only the first %d digits)" % (
@@ -272,7 +242,6 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
     return DiscontinuityReport(
         depth=depth,
         bound=bound,
-        limit_k0=K0Descriptor("FreeRankOne"),
         residue_moduli=moduli,
         residues=residues,
         injectivity_guaranteed=injective,
@@ -283,7 +252,6 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         max_bound_witness_depth=best_depth,
         p=p,
         p_precision=p_precision,
-        p_limit_k0=K0Descriptor("FreeRankOne"),
         p_digits=tuple(digits),
         p_determined=determined,
     )

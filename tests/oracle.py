@@ -24,10 +24,15 @@ has already split.  `decompose_by_monomial` decomposes an O_2 element
 monomial by monomial: c times each part of classify_raw, summed.
 
 `coherent_all_pairs` applies every connecting map of a family, not only the
-consecutive ones.  The edge references test every pair of vertices with
-hom_exists or divisibility and reduce by comparing every pair of edges.
+consecutive ones.  `gauge_witness_by_enumeration` applies a hom to every
+grade-0 monomial up to a word length, where the library reads the gauge
+witness off the image words.  The edge references test every pair of
+vertices with hom_exists or divisibility and reduce by comparing every pair
+of edges.
 """
-from cuntzlim import ONE, Element, O, apply, equals, f, hom_exists
+import itertools
+
+from cuntzlim import ONE, Element, O, apply, equals, f, hom_exists, is_gauge_invariant, mono
 
 O2 = O(2)
 
@@ -137,6 +142,21 @@ def coherent_all_pairs(fam):
     ns = list(fam.chain)
     return all(equals(apply(f(ns[j], ns[l]), fam.entries[l]), fam.entries[j])
                for j in range(len(ns)) for l in range(j + 1, len(ns)))
+
+
+def gauge_witness_by_enumeration(h, max_len):
+    """The first s_l s_r* with |l| = |r| <= max_len, by length and then in
+    lexicographic order, whose image under h is not gauge-invariant, with
+    that image; None when there is none."""
+    m = h.domain.ngens
+    for length in range(1, max_len + 1):
+        words = list(itertools.product(range(1, m + 1), repeat=length))
+        for l in words:
+            for r in words:
+                img = apply(h, mono(h.domain, l, r))
+                if not is_gauge_invariant(img):
+                    return (l, r), img
+    return None
 
 
 def transitive_reduction(edges):

@@ -221,7 +221,7 @@ def test_criterion_09_embeddability_graph():
 
 def test_criterion_10_k0_discontinuity():
     rep = discontinuity_report(9, 10 ** 6)
-    ok = rep.limit_k0.kind == "FreeRankOne"
+    ok = "limit_k0=FreeRankOne" in rep.to_kv().splitlines()
     ok = ok and rep.injectivity_guaranteed
     # the witness's existence is the pass condition; the oracle run locates
     # it at depth 10 against bound 10^6, and at depth <= 9 the same element

@@ -1,15 +1,20 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cuntzlim import (
+    AlgebraError,
     AlgebraTag,
     DigitMap,
     GenHom,
+    HomError,
     O,
+    apply,
     compose,
     f,
-    fixed_point_report,
+    f_inf,
+    gauge_witness,
     gen,
     is_diagonal,
     is_gauge_invariant,
@@ -21,6 +26,8 @@ from cuntzlim import (
     unit,
     validate_prefix_code,
 )
+
+from oracle import gauge_witness_by_enumeration
 
 O2 = O(2)
 
@@ -35,23 +42,52 @@ def test_grade_predicates():
 
 def test_connecting_maps_preserve_diagonal():
     for (n, m) in [(1, 2), (2, 4), (1, 4), (3, 6)]:
-        rep = fixed_point_report(f(n, m), sample_len=2)
-        assert rep.diagonal_preserved, (n, m, rep.diagonal_failures)
+        tag = O(m + 1)
+        for w in itertools.chain.from_iterable(
+                itertools.product(range(1, m + 2), repeat=k) for k in (1, 2)):
+            assert is_diagonal(apply(f(n, m), mono(tag, w, w))), (n, m, w)
 
 
 def test_connecting_maps_break_gauge_grading():
-    # the last generator maps to a word of length m/n > 1, so some
-    # gauge-invariant monomial leaves the gauge-invariant part
+    # generator n+1 maps to the word (n+1, 1) and generator 1 to (1,), so
+    # s_1 s_{n+1}* has grade 0 but its image does not
     for (n, m) in [(1, 2), (2, 4), (2, 6)]:
-        rep = fixed_point_report(f(n, m), sample_len=1)
-        assert rep.gauge_witness is not None
-        (l, r), img = rep.gauge_witness
+        (l, r), img = gauge_witness(f(n, m))
+        assert (l, r) == ((1,), (n + 1,))
         assert len(l) == len(r) and not is_gauge_invariant(img)
 
 
 def test_identity_preserves_gauge():
-    rep = fixed_point_report(f(2, 2), sample_len=2)
-    assert rep.diagonal_preserved and rep.gauge_witness is None
+    assert gauge_witness(f(2, 2)) is None
+
+
+def _gauge_cases():
+    # every f(n, m) with n | m <= 12 and n < m, which break the grading, and
+    # maps that keep it; f(n, n) for n up to 12 would take about 12 s to
+    # enumerate at length 2
+    homs = [f(n, m) for m in range(2, 13) for n in range(1, m) if m % n == 0]
+    return homs + [f(2, 2), q(2, 1), q(3, 1), DigitMap(O(5), 2, 3)]
+
+
+@pytest.mark.parametrize("max_len", [1, 2])
+def test_gauge_witness_agrees_with_enumeration(max_len):
+    # the witness read from image words against applying h to every grade-0
+    # monomial up to max_len; a hom that breaks the grading already breaks it
+    # on some s_i s_j*, so both find the same first pair
+    homs = _gauge_cases()
+    assert len(homs) == 27
+    for h in homs:
+        assert gauge_witness(h) == gauge_witness_by_enumeration(h, max_len), h
+
+
+def test_gauge_witness_needs_word_images_and_finite_tags():
+    h = q(2, 1)
+    bad = GenHom(h.domain, h.codomain,
+                 lambda k: gen(O2, 1) + gen(O2, 2) if k == 1 else h.image(k))
+    with pytest.raises(HomError):
+        gauge_witness(bad)
+    with pytest.raises(AlgebraError):
+        gauge_witness(f_inf(2))
 
 
 def test_uhf_membership():

@@ -276,6 +276,10 @@ def test_hom_exists_divisibility_rule():
     assert not hom_exists(2, None)
     assert hom_exists(None, 2)
     assert hom_exists(None, None)
+    # a finite count below 2 is refused next to O_inf as well
+    for m, n in ((3, 1), (None, 1), (math.inf, 0), (1, None), (1, math.inf)):
+        with pytest.raises(HomError, match=">= 2"):
+            hom_exists(m, n)
 
 
 def test_compose_tag_mismatch():

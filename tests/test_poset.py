@@ -51,6 +51,16 @@ def test_chain_requires_strict_divisibility():
         Chain((2, 2))
 
 
+def test_chain_requires_positive_integers():
+    # a lone element is checked too, and 1.5 divides 3 as a float
+    for elems in ((0,), (-3,), (1.5, 3)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Chain(elems)
+    # lcm(0, 3) = 0: the enumeration's 0 is refused, not returned as Chain((0,))
+    with pytest.raises(ValueError, match="positive integers"):
+        cofinal_chain([0, 3], 2)
+
+
 def test_cofinal_chain_dominates_enumeration():
     enum = list(range(1, 9))
     ch = cofinal_chain(enum, 8)

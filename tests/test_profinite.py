@@ -1,22 +1,29 @@
 import hashlib
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from cuntzlim import (
-    HomError,
-    K0Descriptor,
+    IMAG,
+    Element,
+    GaussianRational,
     O,
     O_INF,
-    UHF,
     all_ones,
+    apply,
     discontinuity_report,
     f,
+    f_inf,
     ProfiniteInt,
     from_digits,
-    induced_k0_map,
-    k0,
+    k0_class,
+    mono,
     nonintegrality_witness,
+    q,
+    unit,
+    zero,
 )
 
 
@@ -45,21 +52,72 @@ def test_all_ones_element():
     assert x.value == sum(math.factorial(k) for k in range(1, 6))
 
 
-def test_k0_descriptors():
-    assert k0(O(5)) == K0Descriptor("CyclicMod", 4)
-    assert k0(O_INF) == K0Descriptor("FreeRankOne")
-    assert k0(UHF(2)) == K0Descriptor("DenominatorGroup", 2)
+def _range_projection_sum(rng, tag):
+    """A random sum of range projections s_w s_w* over a prefix-free word set:
+    a random subset of the leaves of a random tree of words (O_inf expands
+    over its first 6 letters)."""
+    leaves = [()]
+    for _ in range(rng.randint(0, 3)):
+        w = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [w + (i,) for i in range(1, (tag.ngens or 6) + 1)]
+    chosen = rng.sample(leaves, rng.randint(1, len(leaves)))
+    return Element(tag, [((w, w), 1) for w in chosen])
 
 
-def test_induced_k0_maps_and_composition():
-    # f(n, m): R_m -> R_n induces Z/m -> Z/n on unit classes
-    h = f(2, 6)
-    km = induced_k0_map(h)
-    assert km.source_mod == 6 and km.target_mod == 2
-    assert km(5) == 1
-    # f(2, 6) o f(6, 12) = f(2, 12) induces the composite of the reductions
-    inner, whole = induced_k0_map(f(6, 12)), induced_k0_map(f(2, 12))
-    assert [km(inner(c)) for c in range(12)] == [whole(c) for c in range(12)]
+def _k0_homs():
+    homs = [f(n, m) for m in range(1, 13) for n in range(1, m + 1) if m % n == 0]
+    return homs + [f_inf(n) for n in (1, 2, 3, 5)] + [q(2, 1), q(3, 1)]
+
+
+def test_k0_class_is_kept_by_unital_homs():
+    # [h(P)] = [P] reduced mod the codomain's k - 1, for P a sum of range
+    # projections: every f(n, m) with n | m <= 12, f_inf and q
+    rng = random.Random(17)
+    homs = _k0_homs()
+    assert len(homs) == 41
+    for h in homs:
+        for _ in range(20):
+            p = _range_projection_sum(rng, h.domain)
+            assert k0_class(apply(h, p)) == k0_class(p) % (h.codomain.ngens - 1), (h, p)
+
+
+def test_k0_classes_under_f_and_its_composites():
+    # f(n, m): R_m -> R_n induces Z/m -> Z/n, read from projections of each
+    # class c: c orthogonal range projections s_k s_k*
+    def projections(tag, c):
+        return Element(tag, [(((k,), (k,)), 1) for k in range(1, c + 1)])
+
+    assert k0_class(apply(f(2, 6), projections(O(7), 5))) == 1
+    # f(2, 6) o f(6, 12) = f(2, 12) on classes: reduction mod 12, then mod 2
+    for c in range(12):
+        p = projections(O(13), c)
+        assert k0_class(p) == c
+        assert k0_class(apply(f(6, 12), p)) == c % 6
+        assert k0_class(apply(f(2, 6), apply(f(6, 12), p))) == c % 2
+        assert k0_class(apply(f(2, 12), p)) == c % 2
+
+
+def test_k0_class_of_the_unit_and_in_O_inf():
+    assert k0_class(unit(O(5))) == 1 and k0_class(zero(O(5))) == 0
+    assert k0_class(-3 * unit(O(5))) == 1
+    # O_2 has K0 = 0; O_inf's classes are integers, not reduced
+    assert k0_class(unit(O(2)) + mono(O(2), (1,), (1,))) == 0
+    assert k0_class(-2 * unit(O_INF) + 7 * mono(O_INF, (4, 9), (4, 9))) == 5
+
+
+def test_k0_class_is_invariant_under_the_leavitt_rewrite():
+    # s1 s4 s4* s1* in O_4 is canonically s1 s1* - s11 s11* - s12 s12* - s13 s13*
+    e = mono(O(4), (1, 4), (1, 4))
+    assert len(e.terms) == 4
+    assert k0_class(e) == 1
+
+
+def test_k0_class_refuses_non_projection_terms():
+    for e in (mono(O(2), (1,), (2,)),
+              GaussianRational(Fraction(1, 2), 0) * mono(O(2), (1,), (1,)),
+              IMAG * unit(O(3))):
+        with pytest.raises(ValueError, match="no K0 class"):
+            k0_class(e)
 
 
 def test_nonintegrality_witness_small_bound():
