@@ -56,15 +56,7 @@ from .limits import (
     psi,
     state_omega,
 )
-from .profinite import (
-    DiscontinuityReport,
-    ProfiniteInt,
-    all_ones,
-    discontinuity_report,
-    from_digits,
-    k0_class,
-    nonintegrality_witness,
-)
+from .profinite import DiscontinuityReport, discontinuity_report, k0_class
 from .gauge import (
     UhfChainReport,
     gauge_witness,

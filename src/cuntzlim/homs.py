@@ -380,13 +380,19 @@ def q(r: int, n: int) -> GenHom:
 
 
 def hom_exists(m_gens: Union[int, float, None], n_gens: Union[int, float, None]) -> bool:
-    """Existence of a unital *-homomorphism O_m -> O_n (None/inf = O_inf)."""
+    """Existence of a unital *-homomorphism O_m -> O_n, for int generator
+    counts >= 2 (None/inf = O_inf)."""
 
     def is_inf(v):
         return v is None or v == math.inf
 
-    if any(not is_inf(v) and v < 2 for v in (m_gens, n_gens)):
-        raise HomError("generator counts must be >= 2")
+    for v in (m_gens, n_gens):
+        if is_inf(v):
+            continue
+        if not isinstance(v, int):
+            raise HomError("generator counts must be integers, got %r" % (v,))
+        if v < 2:
+            raise HomError("generator counts must be >= 2")
     if is_inf(n_gens):
         return is_inf(m_gens)  # no O_m -> O_inf for finite m
     if is_inf(m_gens):

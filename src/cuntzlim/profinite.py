@@ -1,9 +1,9 @@
-"""Truncated profinite integers (factorial-base residue towers), the K0
-class of a diagonal element of a Cuntz algebra, and the report showing that
-K0 does not commute with the inverse limit at desk scale: the all-ones
-element of lim Z/n has residues 1! + ... + d! mod (d+1)!, and they stay away
-from every integer of bounded size.  Its p-adic digits are read off the same
-residue."""
+"""The K0 class of a diagonal element of a Cuntz algebra, and the report
+showing that K0 does not commute with the inverse limit at desk scale: the
+all-ones element of lim Z/n has residue S_d = 1! + ... + d! mod (d+1)!, and
+these residues stay away from every integer of bounded size.  The report is
+built from one running sum of factorials, and its p-adic digits are read off
+the residue at the requested depth."""
 from __future__ import annotations
 
 import math
@@ -19,59 +19,6 @@ from .algebra import Element
 REPORT_MAX_DEPTH = 1000
 # a witness past the requested depth is looked for this many depths further
 REPORT_WITNESS_REACH = 64
-
-
-# ---------------------------------------------------------------------------
-# Z-hat truncated along the cofinal factorial chain
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProfiniteInt:
-    """Residue class mod (depth+1)!, exposing residues mod every divisor.
-
-    Equivalent data: factorial-base digits (c_1..c_depth) with 0 <= c_k <= k;
-    the factorial chain is cofinal in the divisibility poset, so one chain
-    covers every modulus up to the depth."""
-
-    depth: int
-    value: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return math.factorial(self.depth + 1)
-
-    @property
-    def digits(self) -> Tuple[int, ...]:
-        out, v = [], self.value
-        for k in range(1, self.depth + 1):
-            v, d = divmod(v, k + 1)
-            out.append(d)
-        return tuple(out)
-
-    def residue(self, n: int) -> int:
-        if n < 1 or self.modulus % n:
-            raise ValueError("%d does not divide %d" % (n, self.modulus))
-        return self.value % n
-
-
-def from_digits(digits) -> ProfiniteInt:
-    digits = list(digits)
-    v = 0
-    for k, d in enumerate(digits, start=1):
-        if not 0 <= d <= k:
-            raise ValueError("digit %d out of range at position %d" % (d, k))
-        v += d * math.factorial(k)
-    return ProfiniteInt(len(digits), v)
-
-
-def all_ones(depth: int) -> ProfiniteInt:
-    """The standard non-integral witness: every factorial digit is 1."""
-    return from_digits([1] * depth)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +43,6 @@ def k0_class(e: Element) -> int:
 # ---------------------------------------------------------------------------
 # the discontinuity report
 # ---------------------------------------------------------------------------
-
-def nonintegrality_witness(x: ProfiniteInt, bound: int) -> Optional[int]:
-    """Smallest d <= x.depth at which no integer z with |z| <= bound matches
-    x mod (d+1)!; None means inconclusive at this depth."""
-    for d in range(1, x.depth + 1):
-        m = math.factorial(d + 1)
-        r = x.value % m
-        if r > bound and m - r > bound:
-            return d
-    return None
-
 
 @dataclass
 class DiscontinuityReport:
@@ -201,11 +137,13 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
     """The all-ones element against the integers in [-bound, bound], up to
     the factorial depth.  Its p-adic digits are printed only as far as its
     class mod (depth+1)! fixes them: v_p((depth+1)!) digits, at most
-    p_precision.  So p must be a prime <= depth + 1, and bound >= 0."""
+    p_precision.  So depth must be >= 1, p a prime <= depth + 1, and
+    bound >= 0."""
     if depth > REPORT_MAX_DEPTH:
         raise ValueError("depth %d is too deep: reports are built up to depth %d"
                          % (depth, REPORT_MAX_DEPTH))
-    x = all_ones(depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if bound < 0:
         raise ValueError("bound must be >= 0, got %d" % bound)
     # a p past depth + 1 divides no factor of (depth+1)!: it is refused
@@ -218,24 +156,35 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         pk *= p
     if p_precision < 1:
         raise ValueError("need prime p >= 2 and precision >= 1")
-    moduli = [math.factorial(k) for k in range(2, depth + 2)]
-    residues = [x.value % m for m in moduli]
-    injective = math.factorial(depth + 1) > 2 * bound
 
-    # all_ones(D) = all_ones(d) mod (d+1)! for d <= D, so one scan of a deeper
-    # element finds the witness, up to REPORT_WITNESS_REACH depths past the
-    # requested one; its residue mod (wit+1)! is 1! + ... + wit!
-    wit = nonintegrality_witness(all_ones(depth + REPORT_WITNESS_REACH), bound)
-    wit_res = all_ones(wit).value if wit is not None else None
+    # S_d < (d+1)! is the residue itself, and S_D = S_d mod (d+1)! for D >= d,
+    # so one pass over d, carrying d! and S_d, gives every residue and finds
+    # the witness up to REPORT_WITNESS_REACH depths past the requested one.
+    # The class mod (d+1)! separates from [-bound, bound] iff both of its
+    # representatives S_d and S_d - (d+1)! pass the bound.
+    moduli, residues = [], []
+    wit = wit_res = best_depth = None
+    best = 0
+    fact, total = 1, 0  # d! and S_d
+    for d in range(1, depth + REPORT_WITNESS_REACH + 1):
+        fact *= d
+        total += fact
+        modulus = fact * (d + 1)
+        sep = min(total, modulus - total)
+        if wit is None and sep > bound:
+            wit, wit_res = d, total
+        if d <= depth:
+            moduli.append(modulus)
+            residues.append(total)
+            # the largest bound separable at the requested depth, first
+            # reached at best_depth
+            if sep - 1 > best:
+                best, best_depth = sep - 1, d
+        elif wit is not None:
+            break
 
-    # largest bound separable at the requested depth: both representatives
-    # of the class mod (d+1)! must exceed the bound for some d <= depth
-    seps = [min(r, m - r) - 1 for m, r in zip(moduli, residues)]
-    best = max(seps + [0])
-    best_depth = seps.index(best) + 1 if best else None
-
-    # the first base-p digits of x.value, as many as (depth+1)! determines
-    digits, v = [], x.value
+    # the first base-p digits of S_depth, as many as (depth+1)! determines
+    digits, v = [], residues[-1]
     for _ in range(min(p_precision, determined)):
         v, digit = divmod(v, p)
         digits.append(digit)
@@ -244,7 +193,7 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         bound=bound,
         residue_moduli=moduli,
         residues=residues,
-        injectivity_guaranteed=injective,
+        injectivity_guaranteed=moduli[-1] > 2 * bound,
         witness_depth=wit,
         witness_residue=wit_res,
         witness_beyond_requested=wit is not None and wit > depth,

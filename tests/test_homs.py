@@ -280,6 +280,10 @@ def test_hom_exists_divisibility_rule():
     for m, n in ((3, 1), (None, 1), (math.inf, 0), (1, None), (1, math.inf)):
         with pytest.raises(HomError, match=">= 2"):
             hom_exists(m, n)
+    # an O_2.5 does not exist; neither does O_3.0 as a float count
+    for m, n in ((7, 2.5), (2.5, 2), (3.0, 2), (3, 2.0), (None, 3.0), (3.0, math.inf)):
+        with pytest.raises(HomError, match="must be integers"):
+            hom_exists(m, n)
 
 
 def test_compose_tag_mismatch():

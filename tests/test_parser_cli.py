@@ -304,6 +304,12 @@ def test_cli_profinite_report_refuses_depths_past_the_bound():
         assert proc.returncode == 2 and "too deep" in proc.stderr and proc.stdout == ""
 
 
+def test_cli_profinite_report_refuses_depth_below_one():
+    proc = run_process("profinite", "report", "--depth", "0", "--bound", "5", timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: depth must be >= 1\n"
+
+
 def test_cli_profinite_report_validates_p_bound_and_precision():
     # --p 4 printed base-4 digits, --bound -5 printed "on [--5, -5]", and
     # --p-precision 100000000 computed 2^100000000 before printing

@@ -11,45 +11,26 @@ from cuntzlim import (
     GaussianRational,
     O,
     O_INF,
-    all_ones,
     apply,
     discontinuity_report,
     f,
     f_inf,
-    ProfiniteInt,
-    from_digits,
     k0_class,
     mono,
-    nonintegrality_witness,
     q,
     unit,
     zero,
 )
-
-
-def test_profinite_canonical_value():
-    x = ProfiniteInt(3, 100)
-    assert x.modulus == 24 and x.value == 100 % 24
-
-
-def test_digit_expansion_and_reconstruction():
-    x = ProfiniteInt(6, 1000)
-    # value = sum c_k * k!, 0 <= c_k <= k
-    total = sum(c * math.factorial(k) for k, c in enumerate(x.digits, start=1))
-    assert total == 1000 % x.modulus
-    assert from_digits(x.digits).value == x.value
-
-
-def test_digit_bounds():
-    x = ProfiniteInt(8, 123456)
-    for k, c in enumerate(x.digits, start=1):
-        assert 0 <= c <= k
+from cuntzlim.profinite import REPORT_WITNESS_REACH
 
 
 def test_all_ones_element():
-    x = all_ones(5)
-    assert x.digits == (1, 1, 1, 1, 1)
-    assert x.value == sum(math.factorial(k) for k in range(1, 6))
+    # the all-ones element has every factorial digit 1: its residue mod
+    # (d+1)! is 1! + ... + d!
+    rep = discontinuity_report(5, 100)
+    assert rep.residues == [sum(math.factorial(k) for k in range(1, d + 1))
+                            for d in range(1, 6)] == [1, 3, 9, 33, 153]
+    assert "all_ones_residues=1,3,9,33,153\n" in rep.to_kv()
 
 
 def _range_projection_sum(rng, tag):
@@ -123,12 +104,16 @@ def test_k0_class_refuses_non_projection_terms():
 def test_nonintegrality_witness_small_bound():
     # residues of the all-ones element: 1, 3, 9, 33, 153, ...
     # 153 mod 720 separates from [-100, 100]: both 153 and 720-153 exceed 100
-    assert nonintegrality_witness(all_ones(12), 100) == 5
-    assert nonintegrality_witness(all_ones(3), 100) is None
+    rep = discontinuity_report(12, 100)
+    assert rep.witness_depth == 5 and not rep.witness_beyond_requested
+    # no depth up to 3 separates: the witness lies past the requested depth
+    rep = discontinuity_report(3, 100)
+    assert rep.witness_depth == 5 and rep.witness_beyond_requested
 
 
 def test_nonintegrality_witness_large_bound():
-    assert nonintegrality_witness(all_ones(12), 10 ** 6) == 10
+    rep = discontinuity_report(12, 10 ** 6)
+    assert rep.witness_depth == 10 and not rep.witness_beyond_requested
 
 
 def test_discontinuity_report_fields():
@@ -175,7 +160,7 @@ def test_discontinuity_report_default_digits_all_determined():
     # v_2(10!) = 8 is the default precision: every digit is printed
     rep = discontinuity_report(9, 10 ** 6)
     assert rep.p_determined == 8 and len(rep.p_digits) == 8
-    assert list(rep.p_digits) == _binary_digits(all_ones(9).value, 8)
+    assert list(rep.p_digits) == _binary_digits(sum(math.factorial(k) for k in range(1, 10)), 8)
     assert "determine" not in rep.to_text() + rep.to_kv()
 
 
@@ -187,6 +172,12 @@ def test_discontinuity_report_validates_p_and_bound():
         discontinuity_report(9, -5)
     # a precision of 10^8 costs nothing: only v_p((depth+1)!) digits are built
     assert len(discontinuity_report(9, 10, p_precision=10 ** 8).p_digits) == 8
+
+
+def test_discontinuity_report_refuses_depth_below_one():
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=r"^depth must be >= 1$"):
+            discontinuity_report(depth, 5)
 
 
 # SHA-256 of to_text() and to_kv() for (depth, bound, p, p_precision), taken
@@ -247,7 +238,7 @@ def test_witness_is_looked_for_64_depths_past_the_requested_one():
     rep = discontinuity_report(9, math.factorial(73))
     assert rep.witness_depth == 73 and rep.witness_beyond_requested
     assert rep.witness_residue == sum(math.factorial(k) for k in range(1, 74))
-    assert nonintegrality_witness(all_ones(74), math.factorial(74)) == 74
+    assert discontinuity_report(10, math.factorial(74)).witness_depth == 74
     rep = discontinuity_report(9, math.factorial(74))
     assert rep.witness_depth is None and not rep.witness_beyond_requested
     assert "inconclusive" in rep.to_text()
@@ -257,3 +248,53 @@ def test_discontinuity_report_refuses_precision_below_one():
     for precision in (0, -1):
         with pytest.raises(ValueError, match="precision >= 1"):
             discontinuity_report(9, 10, p_precision=precision)
+
+
+def _reference_report(depth, bound, sums):
+    """The report's facts from their definitions: sums[d] = 1! + ... + d!
+    reduced mod (d+1)!, the witness as the first depth, scanning up to
+    REPORT_WITNESS_REACH past the requested one, at which neither
+    representative of the class nearest 0 lies in [-bound, bound], and the
+    largest bound some depth <= depth separates."""
+    moduli = [math.factorial(d + 1) for d in range(1, depth + 1)]
+    residues = [sums[d] for d in range(1, depth + 1)]
+    wit = None
+    for d in range(1, depth + REPORT_WITNESS_REACH + 1):
+        m, r = math.factorial(d + 1), sums[d]
+        if not (r <= bound or m - r <= bound):
+            wit = d
+            break
+    seps = [min(r, m - r) - 1 for m, r in zip(moduli, residues)]
+    best = max(seps + [0])
+    return {
+        "residue_moduli": moduli,
+        "residues": residues,
+        "injectivity_guaranteed": math.factorial(depth + 1) > 2 * bound,
+        "witness_depth": wit,
+        "witness_residue": sums[wit] if wit is not None else None,
+        "witness_beyond_requested": wit is not None and wit > depth,
+        "max_separating_bound": best,
+        "max_bound_witness_depth": seps.index(best) + 1 if best else None,
+    }
+
+
+def test_discontinuity_report_matches_its_definitions():
+    top = 30 + REPORT_WITNESS_REACH
+    sums = {d: sum(math.factorial(k) for k in range(1, d + 1)) % math.factorial(d + 1)
+            for d in range(1, top + 1)}
+    bounds = {0, 1}
+    for k in range(1, top + 2):
+        bounds |= {math.factorial(k) - 1, math.factorial(k), math.factorial(k) + 1}
+    for depth in range(1, 31):
+        for bound in sorted(bounds):
+            rep = discontinuity_report(depth, bound)
+            ref = _reference_report(depth, bound, sums)
+            assert {key: getattr(rep, key) for key in ref} == ref, (depth, bound)
+        # the largest separable bound is separated within the depth, one
+        # more is not
+        best = rep.max_separating_bound
+        if best:
+            assert discontinuity_report(depth, best).witness_depth == \
+                rep.max_bound_witness_depth <= depth
+            past = discontinuity_report(depth, best + 1)
+            assert past.witness_depth is None or past.witness_beyond_requested
