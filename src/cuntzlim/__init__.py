@@ -9,7 +9,6 @@ from .algebra import (
     O_INF,
     equals,
     gen,
-    grade_components,
     mono,
     normalize,
     unit,
@@ -63,7 +62,6 @@ from .gauge import (
     is_diagonal,
     is_gauge_invariant,
     uhf_chain_check,
-    uhf_member,
 )
 from .parser import ParseError, parse, render
 

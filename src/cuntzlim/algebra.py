@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .scalars import GaussianRational, ONE, Rationalish
 
@@ -243,14 +243,6 @@ def normalize(e: Element) -> Element:
         if j[-1:] == k[-1:] == (n,):
             todo.append((j, k))
     return e
-
-
-def grade_components(e: Element) -> Dict[int, Element]:
-    """Partition by the gauge grade |J| - |K|; the parts sum back to e."""
-    buckets: Dict[int, Dict[Key, GaussianRational]] = {}
-    for (l, r), c in e.terms.items():
-        buckets.setdefault(len(l) - len(r), {})[(l, r)] = c
-    return {g: Element(e.tag, t) for g, t in sorted(buckets.items())}
 
 
 def equals(a: Element, b: Element) -> bool:

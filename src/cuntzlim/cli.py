@@ -32,10 +32,11 @@ PARTITION_MAX_WIDTH = 2 ** 16
 
 def _tag(text: str) -> AlgebraTag:
     text = text.strip()
-    if text in ("Oinf", "OINF", "O_inf", "Ooo"):
+    if text == "Oinf":
         return O_INF
-    if text.startswith("O") and text[1:].isdigit():
-        return O(int(text[1:]))
+    k = text[1:]
+    if text[:1] == "O" and k.isascii() and k.isdigit() and int(k) >= 2:
+        return O(int(k))
     raise argparse.ArgumentTypeError("algebra must be O<k> (k>=2) or Oinf")
 
 

@@ -42,15 +42,6 @@ def gauge_witness(h: GenHom) -> Optional[Tuple[Tuple[Word, Word], Element]]:
     return ((1,), (j,)), apply(h, mono(h.domain, (1,), (j,)))
 
 
-def uhf_member(r: int, n: int, left: Word, right: Word) -> bool:
-    """Membership in the n-th block subalgebra of O_r: both word lengths
-    must be multiples of 2^(n-1)."""
-    if r < 2 or n < 1:
-        raise ValueError("need r >= 2 and n >= 1")
-    block = 2 ** (n - 1)
-    return len(left) % block == 0 and len(right) % block == 0
-
-
 @dataclass
 class UhfLevelCheck:
     n: int

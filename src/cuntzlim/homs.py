@@ -29,7 +29,6 @@ prefix code, and compose substitutes codes: D(a, L1) o D(a^L1, L2) = D(a, L1*L2)
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -379,22 +378,18 @@ def q(r: int, n: int) -> GenHom:
     return DigitMap(AlgebraTag(size * size), size, 2)
 
 
-def hom_exists(m_gens: Union[int, float, None], n_gens: Union[int, float, None]) -> bool:
+def hom_exists(m_gens: Optional[int], n_gens: Optional[int]) -> bool:
     """Existence of a unital *-homomorphism O_m -> O_n, for int generator
-    counts >= 2 (None/inf = O_inf)."""
-
-    def is_inf(v):
-        return v is None or v == math.inf
-
+    counts >= 2 (None = O_inf)."""
     for v in (m_gens, n_gens):
-        if is_inf(v):
+        if v is None:
             continue
         if not isinstance(v, int):
             raise HomError("generator counts must be integers, got %r" % (v,))
         if v < 2:
             raise HomError("generator counts must be >= 2")
-    if is_inf(n_gens):
-        return is_inf(m_gens)  # no O_m -> O_inf for finite m
-    if is_inf(m_gens):
+    if n_gens is None:
+        return m_gens is None  # no O_m -> O_inf for finite m
+    if m_gens is None:
         return True
     return (m_gens - 1) % (n_gens - 1) == 0

@@ -1,30 +1,30 @@
-"""The divisibility poset on the positive integers, cofinal chains, order
-homomorphism checks, and the embeddability graph between Cuntz algebras."""
+"""The divisibility poset on the positive integers, cofinal chains, and the
+embeddability graph between Cuntz algebras."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-TOP = math.inf  # formal top element: every n divides it
 # graphs have at most POSET_MAX vertices, so at most about 10^5 edges: vertex
 # d has fewer than POSET_MAX/d multiples
 POSET_MAX = 10 ** 4
 
 
-def leq(n: int, m) -> bool:
-    """n precedes m iff n divides m; TOP dominates everything."""
-    if m == TOP:
-        return True
-    if n == TOP:
-        return False
-    if n < 1 or m < 1:
-        raise ValueError("poset carrier is the positive integers")
+def _check_carrier(xs: Sequence) -> None:
+    if not all(isinstance(a, int) and a >= 1 for a in xs):
+        raise ValueError("poset elements must be positive integers: %r" % (tuple(xs),))
+
+
+def leq(n: int, m: int) -> bool:
+    """n precedes m iff n divides m."""
+    _check_carrier((n, m))
     return m % n == 0
 
 
 def join(n: int, m: int) -> int:
     """Least upper bound (lcm), witnessing directedness."""
+    _check_carrier((n, m))
     return math.lcm(n, m)
 
 
@@ -39,8 +39,7 @@ class Chain:
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ValueError("chain must be nonempty")
-        if not all(isinstance(a, int) and a >= 1 for a in elems):
-            raise ValueError("chain elements must be positive integers: %r" % (elems,))
+        _check_carrier(elems)
         for a, b in zip(elems, elems[1:]):
             if not leq(a, b) or a == b:
                 raise ValueError("not strictly increasing under divisibility: %r" % (elems,))
@@ -61,11 +60,11 @@ def cofinal_chain(enumeration: Sequence[int], length: int) -> Chain:
     Every enumerated x_i with i <= length divides some chain element."""
     if length < 1:
         raise ValueError("chain length must be >= 1, got %d" % length)
-    xs = list(enumeration)
+    xs = list(enumeration)[:length]
     if not xs:
         raise ValueError("empty enumeration")
     ys: List[int] = []
-    for x in xs[:length]:
+    for x in xs:
         y = x if not ys else join(ys[-1], x)
         ys.append(y)
     # drop repeats so the Chain is strictly increasing
@@ -74,18 +73,6 @@ def cofinal_chain(enumeration: Sequence[int], length: int) -> Chain:
         if y != out[-1]:
             out.append(y)
     return Chain(tuple(out))
-
-
-def check_order_hom(
-    system_ranks: Mapping, order: Callable[[object, object], bool]
-) -> bool:
-    """True iff d <= e implies rank(d) | rank(e) over all sampled pairs."""
-    keys = list(system_ranks)
-    for d in keys:
-        for e in keys:
-            if order(d, e) and not leq(system_ranks[d], system_ranks[e]):
-                return False
-    return True
 
 
 @dataclass
@@ -103,34 +90,30 @@ class Digraph:
         return "\n".join(lines) + "\n"
 
 
-def _multiple_edges(top: int, reduce: bool) -> List[Tuple[int, int]]:
-    """Pairs (d, k*d) with k >= 2 and k*d <= top, in sorted order; with
-    reduce=True only those with k prime, the covers of the divisibility order
-    (every multiple of d that divides k*d is at most top)."""
-    if top > POSET_MAX:
-        raise ValueError("a graph on %d vertices is too large: the bound is %d"
-                         % (top, POSET_MAX))
-    prime = [True] * (top + 1)
-    for p in range(2, top + 1):
-        if prime[p]:
-            for m in range(p * p, top + 1, p):
-                prime[m] = False
-    return [(d, k * d) for d in range(1, top + 1) for k in range(2, top // d + 1)
-            if prime[k] or not reduce]
-
-
 def embeddability_edges(max_generators: int, reduce: bool = False) -> List[Tuple[int, int]]:
     """Edges O_m -> O_n (as generator-count pairs) for unital embeddings,
     that is (n-1) | (m-1); with reduce=True only covering arrows are kept
     (the Hasse diagram)."""
     if max_generators < 2:
         raise ValueError("need at least O_2")
-    return sorted((m + 1, n + 1) for n, m in _multiple_edges(max_generators - 1, reduce))
+    return sorted((m + 1, n + 1) for n, m in divisibility_edges(max_generators - 1, reduce))
 
 
 def divisibility_edges(max_n: int, reduce: bool = False) -> List[Tuple[int, int]]:
-    """Edges n -> m for n | m, n != m, on {1..max_n}."""
-    return _multiple_edges(max_n, reduce)
+    """Edges n -> m for n | m, n != m, on {1..max_n}: the pairs (d, k*d) with
+    k >= 2, in sorted order; with reduce=True only those with k prime, the
+    covers of the divisibility order (every multiple of d that divides k*d is
+    at most max_n)."""
+    if max_n > POSET_MAX:
+        raise ValueError("a graph on %d vertices is too large: the bound is %d"
+                         % (max_n, POSET_MAX))
+    prime = [True] * (max_n + 1)
+    for p in range(2, max_n + 1):
+        if prime[p]:
+            for m in range(p * p, max_n + 1, p):
+                prime[m] = False
+    return [(d, k * d) for d in range(1, max_n + 1) for k in range(2, max_n // d + 1)
+            if prime[k] or not reduce]
 
 
 def reversed_relabeled(edges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:

@@ -55,7 +55,7 @@ class DiscontinuityReport:
     witness_residue: Optional[int]
     witness_beyond_requested: bool
     max_separating_bound: int
-    max_bound_witness_depth: Optional[int]
+    max_bound_witness_depth: int
     p: int
     p_precision: int
     p_digits: Tuple[int, ...]
@@ -77,11 +77,7 @@ class DiscontinuityReport:
             ),
             "witness_beyond_requested=%s" % str(self.witness_beyond_requested).lower(),
             "max_separating_bound=%d" % self.max_separating_bound,
-            "max_bound_witness_depth=%s" % (
-                self.max_bound_witness_depth
-                if self.max_bound_witness_depth is not None
-                else "inconclusive"
-            ),
+            "max_bound_witness_depth=%d" % self.max_bound_witness_depth,
             "p=%d" % self.p,
             "p_precision=%d" % self.p_precision,
             "p_limit_k0=FreeRankOne",
@@ -118,7 +114,7 @@ class DiscontinuityReport:
             w.append("  non-surjectivity witness vs bound %d: inconclusive" % self.bound)
         w.append(
             "  at depth %d the all-ones element separates from every integer"
-            " bound up to %d (witness depth %s)"
+            " bound up to %d (witness depth %d)"
             % (self.depth, self.max_separating_bound, self.max_bound_witness_depth)
         )
         w.append(
@@ -161,10 +157,13 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
     # so one pass over d, carrying d! and S_d, gives every residue and finds
     # the witness up to REPORT_WITNESS_REACH depths past the requested one.
     # The class mod (d+1)! separates from [-bound, bound] iff both of its
-    # representatives S_d and S_d - (d+1)! pass the bound.
+    # representatives S_d and S_d - (d+1)! pass the bound.  That margin,
+    # min(S_d, (d+1)! - S_d), runs 1, 3, 9, 33, ... and grows strictly with
+    # d, as both S_d and (d+1)! - S_d do, so the largest bound separable at
+    # the requested depth is its margin there minus 1, and the requested
+    # depth is the first to separate it.
     moduli, residues = [], []
-    wit = wit_res = best_depth = None
-    best = 0
+    wit = wit_res = None
     fact, total = 1, 0  # d! and S_d
     for d in range(1, depth + REPORT_WITNESS_REACH + 1):
         fact *= d
@@ -176,10 +175,6 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         if d <= depth:
             moduli.append(modulus)
             residues.append(total)
-            # the largest bound separable at the requested depth, first
-            # reached at best_depth
-            if sep - 1 > best:
-                best, best_depth = sep - 1, d
         elif wit is not None:
             break
 
@@ -197,8 +192,8 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
         witness_depth=wit,
         witness_residue=wit_res,
         witness_beyond_requested=wit is not None and wit > depth,
-        max_separating_bound=best,
-        max_bound_witness_depth=best_depth,
+        max_separating_bound=min(residues[-1], moduli[-1] - residues[-1]) - 1,
+        max_bound_witness_depth=depth,
         p=p,
         p_precision=p_precision,
         p_digits=tuple(digits),

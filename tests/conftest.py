@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzlim import Element, GaussianRational, O, O_INF, mono, zero
+from cuntzlim import Element, GaussianRational, mono, zero
 
 
 def random_word(rng: random.Random, n: int, max_len: int):

@@ -26,9 +26,10 @@ monomial by monomial: c times each part of classify_raw, summed.
 `coherent_all_pairs` applies every connecting map of a family, not only the
 consecutive ones.  `gauge_witness_by_enumeration` applies a hom to every
 grade-0 monomial up to a word length, where the library reads the gauge
-witness off the image words.  The edge references test every pair of
-vertices with hom_exists or divisibility and reduce by comparing every pair
-of edges.
+witness off the image words, and `uhf_member` tests the block membership of
+a word pair, where the library reads it off digit codes.  The edge
+references test every pair of vertices with hom_exists or divisibility and
+reduce by comparing every pair of edges.
 """
 import itertools
 
@@ -157,6 +158,15 @@ def gauge_witness_by_enumeration(h, max_len):
                 if not is_gauge_invariant(img):
                     return (l, r), img
     return None
+
+
+def uhf_member(r, n, left, right):
+    """Membership in the n-th block subalgebra of O_r: both word lengths
+    must be multiples of 2^(n-1)."""
+    if r < 2 or n < 1:
+        raise ValueError("need r >= 2 and n >= 1")
+    block = 2 ** (n - 1)
+    return len(left) % block == 0 and len(right) % block == 0
 
 
 def transitive_reduction(edges):

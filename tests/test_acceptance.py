@@ -4,9 +4,7 @@ Run with `pytest -v`; the lines are written straight to the terminal so they
 survive pytest capture.
 """
 import itertools
-import math
 import random
-import sys
 
 from cuntzlim import (
     Chain,
@@ -15,21 +13,18 @@ from cuntzlim import (
     apply,
     check_coherent,
     compose,
-    decompose_element,
     discontinuity_report,
     divisibility_edges,
     embeddability_edges,
     equals,
     f,
     f_inf,
-    grade_components,
     in_K,
     in_L,
     in_L_inf,
     is_diagonal,
     is_gauge_invariant,
     mono,
-    normalize,
     psi,
     q,
     reversed_relabeled,
@@ -38,10 +33,9 @@ from cuntzlim import (
     uhf_chain_check,
     unit,
     validate_prefix_code,
-    zero,
 )
 from cuntzlim.verify import verify_decomposition, verify_inverse_system
-from cuntzlim.limits import decompose_word, is_q_inf_shape, is_v_shape, is_vstar_shape
+from cuntzlim.limits import decompose_word
 from cuntzlim.algebra import Element, adjoint, multiply
 
 from conftest import random_element, random_table

@@ -9,7 +9,6 @@ from cuntzlim import (
     O_INF,
     equals,
     gen,
-    grade_components,
     mono,
     normalize,
     unit,
@@ -155,16 +154,6 @@ def test_equal_elements_have_equal_tables_and_hashes():
     b = mono(O2, (2,), (2,))
     assert equals(a, b) and a == b and hash(a) == hash(b)
     assert a.terms == {((1,), (1,)): -ONE, ((), ()): ONE}
-
-
-def test_grade_components_partition():
-    e = gen(O2, 1) + mono(O2, (1,), (2, 2)) + unit(O2)
-    comps = grade_components(e)
-    assert set(comps) == {1, -1, 0}
-    total = zero(O2)
-    for part in comps.values():
-        total = total + part
-    assert total == e
 
 
 def test_mixed_algebra_operations_rejected():

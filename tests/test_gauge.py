@@ -22,12 +22,11 @@ from cuntzlim import (
     q,
     rn,
     uhf_chain_check,
-    uhf_member,
     unit,
     validate_prefix_code,
 )
 
-from oracle import gauge_witness_by_enumeration
+from oracle import gauge_witness_by_enumeration, uhf_member
 
 O2 = O(2)
 

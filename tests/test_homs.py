@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from cuntzlim import (
     AlgebraError,
     Chain,
-    CodeReport,
     DigitMap,
     Element,
     GaussianRational,
@@ -277,11 +276,13 @@ def test_hom_exists_divisibility_rule():
     assert hom_exists(None, 2)
     assert hom_exists(None, None)
     # a finite count below 2 is refused next to O_inf as well
-    for m, n in ((3, 1), (None, 1), (math.inf, 0), (1, None), (1, math.inf)):
+    for m, n in ((3, 1), (None, 1), (1, None), (1, math.inf)):
         with pytest.raises(HomError, match=">= 2"):
             hom_exists(m, n)
-    # an O_2.5 does not exist; neither does O_3.0 as a float count
-    for m, n in ((7, 2.5), (2.5, 2), (3.0, 2), (3, 2.0), (None, 3.0), (3.0, math.inf)):
+    # an O_2.5 does not exist; neither does O_3.0 as a float count, and O_inf
+    # is None, not math.inf
+    for m, n in ((7, 2.5), (2.5, 2), (3.0, 2), (3, 2.0), (None, 3.0), (3.0, math.inf),
+                 (math.inf, 0), (math.inf, 2), (2, math.inf), (math.inf, None)):
         with pytest.raises(HomError, match="must be integers"):
             hom_exists(m, n)
 

@@ -394,6 +394,19 @@ def test_cli_usage_errors(capsys):
     assert "needs --args n" in capsys.readouterr().err
 
 
+def test_cli_o_inf_has_one_spelling(capsys):
+    assert run("normalize", "--algebra", "Oinf", "s3000") == (0, "s3000\n")
+    # a superscript or Arabic-Indic digit is no k either
+    for tag in ("OINF", "O_inf", "Ooo", "O1", "O0", "O", "O2.5", "O\u00b2", "O\u0663"):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--algebra", tag, "s1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "algebra must be O<k> (k>=2) or Oinf" in err
+    proc = run_process("normalize", "--algebra", "OINF", "s1")
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+
+
 def test_console_script_installed():
     proc = run_process("normalize", "--algebra", "O3", "s1")
     assert proc.returncode == 0 and proc.stdout.strip() == "s1"

@@ -12,7 +12,7 @@ from cuntzlim import (
     leq,
     reversed_relabeled,
 )
-from cuntzlim.poset import POSET_MAX, TOP, check_order_hom
+from cuntzlim.poset import POSET_MAX
 
 from oracle import divisibility_pairs, embeddability_pairs
 
@@ -20,8 +20,15 @@ from oracle import divisibility_pairs, embeddability_pairs
 def test_leq_is_divisibility_with_top():
     assert leq(3, 12) and not leq(3, 10)
     assert leq(1, 7)
-    assert leq(5, TOP) and not leq(TOP, 5)
-    assert leq(TOP, TOP)
+
+
+def test_leq_and_join_require_positive_integers():
+    # 2.0 divides 4 as a float, and math.inf is no element: O_inf is not an
+    # index of the inverse system but its limit
+    for n, m in ((2.0, 4), (5, math.inf), (math.inf, 5), (0, 3), (3, -6)):
+        for op in (leq, join):
+            with pytest.raises(ValueError, match="poset elements must be positive integers"):
+                op(n, m)
 
 
 def test_join_is_lcm():
@@ -53,12 +60,19 @@ def test_chain_requires_strict_divisibility():
 
 def test_chain_requires_positive_integers():
     # a lone element is checked too, and 1.5 divides 3 as a float
-    for elems in ((0,), (-3,), (1.5, 3)):
-        with pytest.raises(ValueError, match="positive integers"):
+    for elems in ((0,), (-3,), (1.5, 3), (1, math.inf)):
+        with pytest.raises(ValueError, match="poset elements must be positive integers"):
             Chain(elems)
-    # lcm(0, 3) = 0: the enumeration's 0 is refused, not returned as Chain((0,))
-    with pytest.raises(ValueError, match="positive integers"):
-        cofinal_chain([0, 3], 2)
+
+
+def test_cofinal_chain_requires_positive_integers():
+    # lcm(0, 3) = 0: the enumeration's 0 is refused, not returned as
+    # Chain((0,)); math.lcm would refuse 2.5 with a TypeError; elements past
+    # the length are not read
+    for enum in ([0, 3], [2, 2.5], [2, math.inf]):
+        with pytest.raises(ValueError, match="poset elements must be positive integers"):
+            cofinal_chain(enum, 2)
+    assert list(cofinal_chain([2, 3, 2.5], 2)) == [2, 6]
 
 
 def test_cofinal_chain_dominates_enumeration():
@@ -83,13 +97,6 @@ def test_factorial_chain_is_cofinal():
     ch = Chain(tuple(facts))
     for x in range(1, 9):
         assert any(leq(x, y) for y in ch)
-
-
-def test_check_order_hom():
-    rel = {("a", "b"), ("b", "c"), ("a", "c"), ("a", "a"), ("b", "b"), ("c", "c")}
-    order = lambda d, e: (d, e) in rel
-    assert check_order_hom({"a": 1, "b": 2, "c": 4}, order)
-    assert not check_order_hom({"a": 1, "b": 2, "c": 3}, order)
 
 
 def test_embeddability_edges_match_hom_exists():

@@ -182,11 +182,14 @@ def test_discontinuity_report_refuses_depth_below_one():
 
 # SHA-256 of to_text() and to_kv() for (depth, bound, p, p_precision), taken
 # from the report that rescanned the element for each depth past the requested
-# one and took its p-adic digits from a finite-precision p-adic integer
+# one and took its p-adic digits from a finite-precision p-adic integer, but
+# for (1, 0, 2, 8): that report gave the largest bound separable at depth 1
+# no witness depth, and this pair is taken from the one that reads
+# "witness depth 1"
 GOLDEN_REPORTS = [
     ((1, 0, 2, 8),
-     "dd45a9e7c870fcfb2f93d985f60db1684c9641f117e7873e07f7f4636aaabfc1",
-     "6dc4ab1d84a65d85ad294f7a504a04336063324b142191160fe90b5129b37c84"),
+     "3bc61f4cd844ce0c7df6112e34d047280e3a0529ffb8d469d28cd939192122eb",
+     "14b79c0e42a2c0bd67264f4b6c44bf1b0fd0e0e3ffbb344272db0ccbb2afc664"),
     ((3, 5, 2, 8),
      "7ccade9ccd83c3fbf64b6a3f5783d9672ccdefdf218591054d1d92db9a65fa56",
      "9013737bcef059ca3798feee09cbde9e9ddb914dfffcaeef42a6cc2f5faf948a"),
@@ -274,7 +277,7 @@ def _reference_report(depth, bound, sums):
         "witness_residue": sums[wit] if wit is not None else None,
         "witness_beyond_requested": wit is not None and wit > depth,
         "max_separating_bound": best,
-        "max_bound_witness_depth": seps.index(best) + 1 if best else None,
+        "max_bound_witness_depth": seps.index(best) + 1,
     }
 
 
@@ -293,8 +296,7 @@ def test_discontinuity_report_matches_its_definitions():
         # the largest separable bound is separated within the depth, one
         # more is not
         best = rep.max_separating_bound
-        if best:
-            assert discontinuity_report(depth, best).witness_depth == \
-                rep.max_bound_witness_depth <= depth
-            past = discontinuity_report(depth, best + 1)
-            assert past.witness_depth is None or past.witness_beyond_requested
+        assert discontinuity_report(depth, best).witness_depth == \
+            rep.max_bound_witness_depth <= depth
+        past = discontinuity_report(depth, best + 1)
+        assert past.witness_depth is None or past.witness_beyond_requested

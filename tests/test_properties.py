@@ -9,7 +9,6 @@ from cuntzlim import (
     O,
     O_INF,
     equals,
-    grade_components,
     mono,
     normalize,
     unit,
@@ -130,16 +129,6 @@ def test_structural_equals_agrees_with_expansion_oracle(rng):
                 assert verdict == (a == b) and (not verdict or hash(a) == hash(b))
                 if want is not None:
                     assert verdict == want
-
-
-def test_grade_decomposition_sums_back(rng):
-    for _ in range(150):
-        e = random_element(rng, rng.choice(TAGS), max_terms=6)
-        total = zero(e.tag)
-        for g, part in grade_components(e).items():
-            assert all(len(l) - len(r) == g for (l, r) in part.terms)
-            total = total + part
-        assert total == e
 
 
 @settings(max_examples=120, deadline=None)
