@@ -14,8 +14,12 @@ f and f_inf refuse one longer than IMAGE_WORD_MAX_LEN before building it.
 
 f_inf, q and identity are WordHoms, given by a rule k -> Word: apply sends
 c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenation of the words of
-J's letters, and canonicalises the sum once, in time linear in the image
-length.  Every other hom (f, make_hom maps, composites other than DigitMap
+J's letters, in time linear in the image length.  It refuses with HomError,
+before building it, any w(J) longer than IMAGE_WORD_MAX_LEN.  A hom's words
+form a prefix code, so distinct terms map to distinct terms: apply builds
+the image table directly in one dict, refuses with HomError two terms that
+meet (the rule is then no hom), and runs the Leavitt rewrite on that table
+in place.  Every other hom (f, make_hom maps, composites other than DigitMap
 substitutions) multiplies out its generator images one letter at a time.
 f keeps that path until the benchmark stops keeping one sample per
 operation: as a word hom it makes an inverse-system pass 4-5x faster, so a
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -41,10 +44,12 @@ from .algebra import (
     Element,
     O_INF,
     Word,
+    _trusted,
     adjoint,
     add,
     equals,
     multiply,
+    normalize,
     unit,
     zero,
 )
@@ -54,8 +59,10 @@ INF_VALIDATION_GENS = 32
 # q(r, n) refuses parameters whose r_n = r^(2^(n-1)) may have more than
 # Q_MAX_BITS bits: r_n of q(2, 40) has 2^39 + 1 of them
 Q_MAX_BITS = 2 ** 16
-# f and f_inf refuse to build an image word longer than IMAGE_WORD_MAX_LEN
-# letters: generator 10^11 of f_inf(1) would need 10^11 of them
+# f and f_inf refuse to build a generator's image word longer than
+# IMAGE_WORD_MAX_LEN letters, and apply any longer word of a word hom:
+# generator 10^11 of f_inf(1) would need 10^11 of them, and 300 letters
+# s60000 would need 1.8 * 10^7
 IMAGE_WORD_MAX_LEN = 2 ** 16
 
 
@@ -177,25 +184,31 @@ class WordHom(GenHom):
     for, checks the index then and caches the word; image(k) is the bare
     monomial s_w of that word."""
 
-    __slots__ = ("word",)
+    __slots__ = ("_words", "_word_rule")
 
     def __init__(self, domain: AlgebraTag, codomain: AlgebraTag,
                  rule: Callable[[int], Word]):
-        # word and the image rule close over the cache, not over self, so a
-        # word hom holds no reference cycle and is freed when its last
-        # reference goes
+        # the image rule closes over the word cache and the rule, not over
+        # self, so a word hom holds no reference cycle and is freed when its
+        # last reference goes; GenHom.image checks the index before it runs
         words: Dict[int, Word] = {}
 
-        def word(k: int) -> Word:
+        def image(k: int) -> Element:
             w = words.get(k)
             if w is None:
-                domain.check_index(k)
                 w = words[k] = rule(k)
-            return w
+            return Element(codomain, {(w, EPS): ONE})
 
-        super().__init__(domain, codomain,
-                         lambda k: Element(codomain, {(word(k), EPS): ONE}))
-        self.word = word
+        super().__init__(domain, codomain, image)
+        self._words = words
+        self._word_rule = rule
+
+    def word(self, k: int) -> Word:
+        w = self._words.get(k)
+        if w is None:
+            self.domain.check_index(k)
+            w = self._words[k] = self._word_rule(k)
+        return w
 
     def image_words(self) -> list:
         return [self.word(k) for k in self.gens()]
@@ -205,20 +218,43 @@ def identity(tag: AlgebraTag) -> WordHom:
     return WordHom(tag, tag, lambda k: (k,))
 
 
-def _concat(word: Callable[[int], Word], letters: Word) -> Word:
-    return tuple(chain.from_iterable(map(word, letters)))
+def _concat(h: WordHom, letters: Word) -> Word:
+    """The concatenated words of h for the letters, refused with HomError
+    before it passes IMAGE_WORD_MAX_LEN letters.  The letters are those of
+    an element of h's domain, so their indices are not checked."""
+    words, rule = h._words, h._word_rule
+    out = []
+    for k in letters:
+        w = words.get(k)
+        if w is None:
+            w = words[k] = rule(k)
+        if len(out) + len(w) > IMAGE_WORD_MAX_LEN:
+            size = sum(len(h.word(a)) for a in letters)
+            raise HomError("image of a word of %d letters is a word of %d letters,"
+                           " past the bound of %d"
+                           % (len(letters), size, IMAGE_WORD_MAX_LEN))
+        out += w
+    return tuple(out)
 
 
 def apply(h: GenHom, e: Element) -> Element:
     """h(e).  A word hom sends c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the
-    concatenated words of J's letters, and canonicalises the sum once; any
-    other hom multiplies out the generator images of each term."""
+    concatenated words of J's letters, bounded by IMAGE_WORD_MAX_LEN.  The
+    words of a hom form a prefix code, so J -> w(J) is one-to-one and the
+    terms of e map to distinct terms with their nonzero coefficients: the
+    image table is built in one dict, and two terms that meet refute the
+    prefix code with HomError.  Only a word ending in the codomain's last
+    letter can break the Leavitt basis (a DigitMap's can, f_inf's never
+    do), so normalize rewrites that table in place.  Any other hom
+    multiplies out the generator images of each term."""
     if e.tag != h.domain:
         raise AlgebraError("algebra mismatch: %s vs hom domain %s" % (e.tag, h.domain))
     if isinstance(h, WordHom):
-        w = h.word
-        return Element(h.codomain, [((_concat(w, l), _concat(w, r)), c)
-                                    for (l, r), c in e.terms.items()])
+        table = {(_concat(h, l), _concat(h, r)): c for (l, r), c in e.terms.items()}
+        if len(table) < len(e.terms):
+            raise HomError("word hom %s -> %s maps two terms to one: its words are"
+                           " not a prefix code" % (h.domain, h.codomain))
+        return normalize(_trusted(h.codomain, table))
     one = unit(h.codomain)
     pairs = []
     for (l, r), c in e.terms.items():
@@ -306,10 +342,10 @@ def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
     i <= n is generator n*l+i.  A word that ends inside a shorter run of n+1
     does not decode, and then no y exists.  Decoding is one-to-one, and a
     decoded word ends in m+1 iff its code word ends in n+1, so canonical
-    terms of x give canonical terms of y: y keeps x's coefficients and needs
-    no rewrite."""
+    terms of x give canonical terms of y: y keeps x's nonzero coefficients
+    and needs no rewrite, so its table is taken as it is."""
     _check_divides(n, m)
-    if x.tag != AlgebraTag(n + 1):
+    if x.tag.ngens != n + 1:
         raise AlgebraError("algebra mismatch: %s vs f(%d, %d) codomain O_%d"
                            % (x.tag, n, m, n + 1))
     top, last = m // n, n + 1
@@ -333,7 +369,7 @@ def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
         if dl is None or dr is None:
             return None
         terms[dl, dr] = c
-    return Element(AlgebraTag(m + 1), terms)
+    return _trusted(AlgebraTag(m + 1), terms)
 
 
 def f(n: int, m: int) -> GenHom:

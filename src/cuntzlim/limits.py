@@ -31,7 +31,7 @@ class CoherentFamily:
         if len(self.entries) != len(self.chain):
             raise ValueError("one entry per chain element required")
         for n, e in zip(self.chain, self.entries):
-            if e.tag != O(n + 1):
+            if e.tag.ngens != n + 1:
                 raise AlgebraError(
                     "entry for chain element %d must live in O_%d" % (n, n + 1)
                 )

@@ -364,6 +364,24 @@ def test_f_preimage_inverts_f(case):
     assert f_preimage(n, m, x) == y
 
 
+@settings(max_examples=200, deadline=None)
+@given(_f_domain_elements(), st.data())
+def test_f_preimage_builds_a_canonical_table(case, data):
+    # f_preimage takes its decoded table as it is; the constructor, which
+    # combines, drops zeros and rewrites, leaves it unchanged.  A random
+    # element of R_n is added to f's image, so some inputs decode only in
+    # part and some decode to terms that f(y) alone does not have
+    n, m, y = case
+    word = st.lists(st.integers(1, n + 1), max_size=4).map(tuple)
+    extra = data.draw(st.lists(st.tuples(st.tuples(word, word),
+                                         st.fractions(-2, 2, max_denominator=3)),
+                               max_size=3))
+    x = apply(f(n, m), y) + Element(O(n + 1), extra)
+    p = f_preimage(n, m, x)
+    if p is not None:
+        assert Element(p.tag, p.terms) == p
+
+
 @pytest.mark.parametrize("n,m", [p for p in DIVISOR_PAIRS if p[1] // p[0] > 1])
 def test_f_preimage_refuses_a_word_inside_a_short_run(n, m):
     # a word ending in (n+1)^j with 0 < j < m/n is no concatenation of f's words
@@ -493,6 +511,39 @@ def test_word_homs_apply_without_products(monkeypatch):
     fam = psi(Chain((1, 2)), gen(O_INF, 65536))
     ((first, right),) = fam.entries[0].terms
     assert first == (2,) * 65535 + (1,) and right == ()
+
+
+def test_word_apply_bounds_every_word_it_builds():
+    # f_inf(1) sends generator k to a word of k letters.  A word of
+    # IMAGE_WORD_MAX_LEN letters is built, from one generator or from
+    # several; one letter more is refused on either side, before it is built
+    top = IMAGE_WORD_MAX_LEN
+    h = f_inf(1)
+    for left, right in (((top,), ()), ((top - 5, 5), (2,)), ((1,), (3, top - 3))):
+        ((l, r),) = apply(h, mono(O_INF, left, right)).terms
+        assert (len(l), len(r)) == (sum(left), sum(right))
+    for left, right, size in (((top, 1), (), top + 1), ((1,), (2, top), top + 2),
+                              ((60000,) * 300, (), 18000000)):
+        with pytest.raises(HomError, match="is a word of %d letters, past the bound of %d"
+                           % (size, top)):
+            apply(h, mono(O_INF, left, right))
+    ((l, _),) = psi(Chain((1, 2)), gen(O_INF, top)).entries[0].terms
+    assert len(l) == top
+    # a digit code of top/2 + 1 letters maps each generator below the bound,
+    # and a word of two generators past it
+    d = DigitMap(O(2), 2, top // 2 + 1)
+    assert apply(d, gen(O(2), 2)) == mono(O(2), (1,) * (top // 2) + (2,))
+    with pytest.raises(HomError, match="past the bound"):
+        apply(d, mono(O(2), (1, 2)))
+
+
+def test_word_apply_refuses_words_that_are_no_prefix_code():
+    # k -> 1^k is no prefix code: s1 s1 and s2 both go to s1 s1, so the rule
+    # defines no hom, and apply says so instead of adding the two terms
+    h = WordHom(O(3), O(2), lambda k: (1,) * k)
+    with pytest.raises(HomError, match="not a prefix code"):
+        apply(h, mono(O(3), (1, 1)) + gen(O(3), 2))
+    assert apply(h, mono(O(3), (1, 1), (3,))) == mono(O(2), (1, 1), (1, 1, 1))
 
 
 def test_word_hom_checks_and_caches_its_words():

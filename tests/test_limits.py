@@ -429,6 +429,48 @@ def test_coherence_is_decided_without_products(monkeypatch):
         apply(f(1, 2), gen(O(3), 1))
 
 
+def test_psi_and_coherence_run_no_constructor(monkeypatch, rng):
+    # psi's entries and check_coherent's preimages are canonical tables taken
+    # as they are, so neither combines terms nor rewrites through Element()
+    from conftest import random_element
+
+    cases = []
+    for ch in _psi_chains():
+        x = random_element(rng, O_INF)
+        fam = psi(ch, x)
+        j = rng.randrange(len(ch))
+        entries = list(fam.entries)
+        # f_inf is injective, so one entry of another element breaks coherence
+        entries[j] = apply(f_inf(ch[j]), x + mono(O_INF, (1, 1), (rng.randint(1, 6),)))
+        cases += [(ch, x, fam, True), (ch, None, CoherentFamily(ch, tuple(entries)), False)]
+    for ch, x, fam, want in cases:
+        assert coherent_all_pairs(fam) is want
+
+    def refuse(*args):
+        raise AssertionError("an element was built by the constructor")
+
+    monkeypatch.setattr(Element, "__init__", refuse)
+    for ch, x, fam, want in cases:
+        if x is not None:
+            assert psi(ch, x).entries == fam.entries
+        assert check_coherent(fam) is want
+    with pytest.raises(AssertionError, match="by the constructor"):
+        mono(O_INF, (1,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_psi_chains()),
+       st.lists(st.tuples(st.lists(st.integers(1, 30), max_size=4),
+                          st.lists(st.integers(1, 30), max_size=4),
+                          st.fractions(-3, 3, max_denominator=4)), max_size=6))
+def test_psi_entries_are_canonical_tables(ch, triples):
+    # apply builds each entry's table in one dict; the constructor, which
+    # combines, drops zeros and rewrites, leaves it unchanged
+    x = Element(O_INF, [((tuple(l), tuple(r)), c) for l, r, c in triples])
+    for entry in psi(ch, x).entries:
+        assert Element(entry.tag, entry.terms) == entry
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_psi_chains()),
        st.lists(st.tuples(st.lists(st.integers(1, 30), max_size=4),

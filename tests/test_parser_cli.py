@@ -422,7 +422,11 @@ def test_python_dash_m_runs_the_cli():
 def test_cli_huge_image_words_exit_2():
     # each of these ended in a MemoryError traceback with exit 1
     bound = "past the bound of %d" % IMAGE_WORD_MAX_LEN
+    # 300 words of 60000 letters: printed, the f_inf(1) image was 54 MB
+    long_product = " ".join(["s60000"] * 300)
     for argv, message in (
+            (("hom", "apply", "--family", "finf", "--args", "1", long_product), bound),
+            (("verify", "psi", "--chain", "1,2", "--expr", long_product), bound),
             (("hom", "apply", "--family", "finf", "--args", "1", "s100000000000"), bound),
             (("verify", "psi", "--chain", "1,2", "--expr", "s100000000000"), bound),
             (("hom", "apply", "--family", "f", "--args", "1,100000000000", "s100000000001"),
