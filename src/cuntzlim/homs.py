@@ -30,11 +30,22 @@ the preimage maps to a canonical term of x.
 A DigitMap such as q derives its words from its digit code (a, L).  On
 O_{a^L} it is a bijection onto A^L, a uniform full code and so a maximal
 prefix code, and compose substitutes codes: D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
+
+f_inf(n) is memoised per process: a word code's encoder is fixed by n, so
+every caller (psi, the generator checks, `hom apply --family finf`) gets the
+same WordHom with the words it has built so far.  The memo keeps at most
+F_INF_MEMO_SIZE homs, least recently used dropped first, and each of their
+words has at most IMAGE_WORD_MAX_LEN letters; a kept hom keeps one word per
+generator it was asked for.  f, f_inf and q refuse any parameter that is
+not an int (a bool included) with HomError, f_inf before the memo is
+consulted, so a refusal is never cached and f_inf(2.0) is never f_inf(2).
+f and q are built anew on each call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -64,6 +75,8 @@ Q_MAX_BITS = 2 ** 16
 # generator 10^11 of f_inf(1) would need 10^11 of them, and 300 letters
 # s60000 would need 1.8 * 10^7
 IMAGE_WORD_MAX_LEN = 2 ** 16
+# the f_inf memo keeps at most F_INF_MEMO_SIZE homs, one per n
+F_INF_MEMO_SIZE = 64
 
 
 class HomError(ValueError):
@@ -326,6 +339,14 @@ def _block_rule(n: int) -> Callable[[int], Word]:
     return rule
 
 
+def _check_ints(what: str, *values) -> None:
+    """Refuse with HomError any value that is not an int; a bool is refused
+    too, though bool subclasses int."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise HomError("%s must be integers, got %r" % (what, v))
+
+
 def _check_divides(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise HomError("n and m must be positive")
@@ -377,6 +398,7 @@ def f(n: int, m: int) -> GenHom:
     generator n*l+i -> (s_{n+1})^l s_i and generator m+1 -> (s_{n+1})^{m/n}.
     For n = m this is the identity.
     """
+    _check_ints("n and m", n, m)
     _check_divides(n, m)
     cod = AlgebraTag(n + 1)
     block = _block_rule(n)
@@ -389,9 +411,20 @@ def f(n: int, m: int) -> GenHom:
 
 
 def f_inf(n: int) -> WordHom:
-    """The embedding O_inf -> R_n: generator l*n+i -> (s_{n+1})^l s_i."""
+    """The embedding O_inf -> R_n: generator l*n+i -> (s_{n+1})^l s_i.
+
+    Memoised: every call with the same n returns the same WordHom, whose
+    words are built once.  At most F_INF_MEMO_SIZE homs are kept, each word
+    of at most IMAGE_WORD_MAX_LEN letters.  n is checked before the memo is
+    consulted, so a refused n is never cached."""
+    _check_ints("n", n)
     if n < 1:
         raise HomError("n must be positive")
+    return _f_inf(n)
+
+
+@lru_cache(maxsize=F_INF_MEMO_SIZE, typed=True)
+def _f_inf(n: int) -> WordHom:
     return WordHom(O_INF, AlgebraTag(n + 1), _block_rule(n))
 
 
@@ -403,6 +436,7 @@ def rn(r: int, n: int) -> int:
 def q(r: int, n: int) -> GenHom:
     """The squaring map O_{r_{n+1}} -> O_{r_n}: generator r_n*(i-1)+j -> s_i s_j,
     the digit map (r_n, 2)."""
+    _check_ints("r and n", r, n)
     if r < 2 or n < 1:
         raise HomError("need r >= 2 and n >= 1")
     # r_n has at most r.bit_length() << (n - 1) bits; as r >= 2, every n past
@@ -420,8 +454,7 @@ def hom_exists(m_gens: Optional[int], n_gens: Optional[int]) -> bool:
     for v in (m_gens, n_gens):
         if v is None:
             continue
-        if not isinstance(v, int):
-            raise HomError("generator counts must be integers, got %r" % (v,))
+        _check_ints("generator counts", v)
         if v < 2:
             raise HomError("generator counts must be >= 2")
     if n_gens is None:

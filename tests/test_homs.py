@@ -141,6 +141,49 @@ def test_f_inf_isometry_relations_spot_check():
             assert equals(p, expected)
 
 
+def test_f_inf_is_built_once_per_n():
+    assert f_inf(3) is f_inf(3)
+    h = f_inf(3)
+    h.word(40)
+    assert f_inf(3)._words[40] == (4,) * 13 + (1,)
+    assert f_inf(2) is not f_inf(3) and f_inf(2).codomain == O(3)
+
+
+def test_f_inf_memo_is_bounded():
+    top = homs.F_INF_MEMO_SIZE
+    first = f_inf(1)
+    for n in range(2, 2 * top + 2):
+        f_inf(n)
+    info = homs._f_inf.cache_info()
+    assert info.maxsize == top and info.currsize <= top
+    # the least recently used hom was dropped and is built anew; the others
+    # stay
+    assert f_inf(1) is not first and f_inf(1).word(7) == first.word(7)
+    assert f_inf(2 * top) is f_inf(2 * top)
+
+
+def test_f_inf_refusals_are_never_cached():
+    for _ in range(2):
+        with pytest.raises(HomError, match="positive"):
+            f_inf(0)
+    for bad in (2.0, True, "2", [2], None):
+        with pytest.raises(HomError, match="must be integers"):
+            f_inf(bad)
+    h = f_inf(2)
+    size = homs._f_inf.cache_info().currsize
+    # without the type check, 2.0 == 2 would hit or poison f_inf(2)'s entry
+    with pytest.raises(HomError, match="must be integers"):
+        f_inf(2.0)
+    assert f_inf(2) is h and homs._f_inf.cache_info().currsize == size
+
+
+def test_families_refuse_parameters_that_are_not_ints():
+    for build, args in ((f, (2, 4.0)), (f, (2.0, 4)), (f, (True, 2)), (f, (1, "2")),
+                        (q, (2.0, 1)), (q, (2, 1.0)), (q, (2, True)), (q, (None, 1))):
+        with pytest.raises(HomError, match="must be integers"):
+            build(*args)
+
+
 def test_q_images_and_rn():
     assert rn(2, 1) == 2 and rn(2, 2) == 4 and rn(2, 3) == 16
     assert rn(3, 2) == 9

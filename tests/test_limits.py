@@ -35,7 +35,7 @@ from cuntzlim import (
 )
 from cuntzlim import homs
 from cuntzlim.limits import _trailing_two_run, is_q_inf_shape, is_v_shape, is_vstar_shape
-from cuntzlim.verify import verify_psi
+from cuntzlim.verify import Refuted, verify_psi
 
 from oracle import classify_raw, coherent_all_pairs, decompose_by_monomial
 
@@ -486,6 +486,33 @@ def test_psi_entries_keep_the_terms_of_x(ch, triples):
         assert len(entry.terms) == len(x.terms)
         assert Counter(entry.terms.values()) == Counter(x.terms.values())
         assert all(w[-1:] != (n + 1,) for key in entry.terms for w in key)
+
+
+def test_psi_builds_each_word_once(monkeypatch):
+    # psi reuses the memoised f_inf(n) and the words its earlier calls built
+    calls = []
+    build = homs._image_word
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(homs, "_image_word", counted)
+    homs._f_inf.cache_clear()
+    ch, x = Chain((1, 2, 6)), mono(O_INF, (5, 7), (3,), 2) + gen(O_INF, 9)
+    first = psi(ch, x)
+    assert calls
+    del calls[:]
+    assert psi(ch, x) == first and calls == []
+
+
+def test_corrupt_psi_leaves_the_memoised_hom_intact():
+    ch, x = Chain((1, 2, 4)), mono(O_INF, (3, 1), (2,)) + mono(O_INF, (5,), (), 2)
+    homs_before = [f_inf(n) for n in ch]
+    with pytest.raises(Refuted):
+        verify_psi(ch, x, corrupt=True)
+    verify_psi(ch, x)
+    assert all(f_inf(n) is h for n, h in zip(ch, homs_before))
 
 
 def test_psi_compatible_with_connecting_maps():
