@@ -1,45 +1,40 @@
 """Generator-defined *-homomorphisms between Cuntz algebras.
 
-A hom is a rule for its generator images, run on first use.  make_hom
-always validates it symbolically: f(s_i)* f(s_j) = delta_ij I for all
+A GenHom is a rule for its generator images, run on first use and cached.
+make_hom validates it symbolically: f(s_i)* f(s_j) = delta_ij I for all
 pairs, and sum_i f(s_i) f(s_i)* = I for finite domains; an O_inf domain is
-checked on its first INF_VALIDATION_GENS generators.  The families f, f_inf
-and q are built unvalidated; they send every generator to one isometry
-word, and for such a word hom the relations hold exactly when the image
-words form a maximal prefix code (prefix-free, Kraft sum 1), an exact
-certificate that validate_prefix_code(h.image_words(), ...) checks in
-linear time.  compose validates only when asked.  The families write their
-image words from letters of the codomain, so they build them unchecked, and
-f and f_inf refuse one longer than IMAGE_WORD_MAX_LEN before building it.
+checked on its first INF_VALIDATION_GENS generators.  compose validates only
+when asked.  The families f, f_inf and q send each generator to one isometry
+word and are built unvalidated: such a hom is valid exactly when its words
+form a maximal prefix code (prefix-free, Kraft sum 1), which
+validate_prefix_code(h.image_words(), ...) checks in linear time.
 
-f_inf, q and identity are WordHoms, given by a rule k -> Word: apply sends
-c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenation of the words of
-J's letters, in time linear in the image length.  It refuses with HomError,
-before building it, any w(J) longer than IMAGE_WORD_MAX_LEN.  A hom's words
-form a prefix code, so distinct terms map to distinct terms: apply builds
-the image table directly in one dict, refuses with HomError two terms that
-meet (the rule is then no hom), and runs the Leavitt rewrite on that table
-in place.  Every other hom (f, make_hom maps, composites other than DigitMap
-substitutions) multiplies out its generator images one letter at a time.
-f keeps that path until the benchmark stops keeping one sample per
-operation: as a word hom it makes an inverse-system pass 4-5x faster, so a
-timed run attempts 4-5x the operations and its peak RSS grows with them.
-f_preimage(n, m, x) inverts f(n, m) without applying it: f's words form a
-prefix code, so each word of x decodes in one read, and a canonical term of
-the preimage maps to a canonical term of x.
-A DigitMap such as q derives its words from its digit code (a, L).  On
-O_{a^L} it is a bijection onto A^L, a uniform full code and so a maximal
-prefix code, and compose substitutes codes: D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
+Their words come from two codes.  The comb code of f and f_inf, written by
+_comb_word and read by _comb_decode: generator n*l+i goes to (n+1)^l i for
+1 <= i <= n, and f(n, m) stops at l < m/n and sends its top generator m+1
+to (n+1)^(m/n).  Only that top word ends in n+1, so a concatenation of comb
+words decodes in one left-to-right read.  The digit code (a, L) of DigitMap
+and q: generator k goes to the L base-a digits of k-1, each plus 1.  On
+O_{a^L} it is a bijection onto A^L, and compose substitutes codes:
+D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
 
-f_inf(n) is memoised per process: a word code's encoder is fixed by n, so
-every caller (psi, the generator checks, `hom apply --family finf`) gets the
-same WordHom with the words it has built so far.  The memo keeps at most
-F_INF_MEMO_SIZE homs, least recently used dropped first, and each of their
-words has at most IMAGE_WORD_MAX_LEN letters; a kept hom keeps one word per
-generator it was asked for.  f, f_inf and q refuse any parameter that is
-not an int (a bool included) with HomError, f_inf before the memo is
-consulted, so a refusal is never cached and f_inf(2.0) is never f_inf(2).
-f and q are built anew on each call.
+A WordHom (f_inf, q, identity) keeps one table, generator -> word, filled
+on first use; image(k) is the bare monomial of word(k), built on each call.
+apply sends c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words
+of J's letters: the words form a prefix code, so distinct terms stay
+distinct, and two that meet refute the code with HomError.  f is no word
+hom and multiplies its images out one letter at a time, as every other hom
+does: as a word hom it makes an inverse-system benchmark pass 4-5x faster,
+a timed run then attempts 4-5x the operations, and the benchmark's peak RSS
+grows with them.
+
+Bounds: a comb word, and every word that apply of a word hom builds, has at
+most IMAGE_WORD_MAX_LEN letters and is refused with HomError before it is
+built; q refuses an r_n of more than Q_MAX_BITS bits.  f_inf(n) is memoised
+per process, at most F_INF_MEMO_SIZE homs, and the word table of a kept hom
+grows with the generators it is asked for.  f, f_inf, f_preimage and q
+refuse with HomError any parameter that is not an int, a bool included,
+f_inf before the memo is consulted.
 """
 from __future__ import annotations
 
@@ -191,29 +186,25 @@ def make_hom(domain: AlgebraTag, codomain: AlgebraTag, images) -> GenHom:
     return h
 
 
+def _monomial(tag: AlgebraTag, w: Word) -> Element:
+    """The bare monomial s_w: a word paired with the empty word is
+    canonical, and its coefficient 1 is nonzero."""
+    return _trusted(tag, {(w, EPS): ONE})
+
+
 class WordHom(GenHom):
     """A hom that sends each generator to one isometry word, given by a rule
     k -> Word.  word(k) runs the rule the first time generator k is asked
-    for, checks the index then and caches the word; image(k) is the bare
-    monomial s_w of that word."""
+    for, checks the index then and keeps the word in its one table;
+    image(k) is the bare monomial s_w of that word, built on each call."""
 
     __slots__ = ("_words", "_word_rule")
 
     def __init__(self, domain: AlgebraTag, codomain: AlgebraTag,
                  rule: Callable[[int], Word]):
-        # the image rule closes over the word cache and the rule, not over
-        # self, so a word hom holds no reference cycle and is freed when its
-        # last reference goes; GenHom.image checks the index before it runs
-        words: Dict[int, Word] = {}
-
-        def image(k: int) -> Element:
-            w = words.get(k)
-            if w is None:
-                w = words[k] = rule(k)
-            return Element(codomain, {(w, EPS): ONE})
-
-        super().__init__(domain, codomain, image)
-        self._words = words
+        self.domain = domain
+        self.codomain = codomain
+        self._words: Dict[int, Word] = {}
         self._word_rule = rule
 
     def word(self, k: int) -> Word:
@@ -222,6 +213,9 @@ class WordHom(GenHom):
             self.domain.check_index(k)
             w = self._words[k] = self._word_rule(k)
         return w
+
+    def image(self, k: int) -> Element:
+        return _monomial(self.codomain, self.word(k))
 
     def image_words(self) -> list:
         return [self.word(k) for k in self.gens()]
@@ -320,23 +314,35 @@ class DigitMap(WordHom):
         self.code = (a, length)
 
 
-def _image_word(k: int, letter: int, power: int, tail: Word = ()) -> Word:
-    """(s_letter)^power followed by tail, the image word of generator k; it is
-    refused with HomError, before it is built, past IMAGE_WORD_MAX_LEN."""
-    if power + len(tail) > IMAGE_WORD_MAX_LEN:
+def _comb_word(n: int, top: Optional[int], k: int) -> Word:
+    """The comb word of generator k: n*l+i -> (n+1)^l i for 1 <= i <= n,
+    and, for f(n, m) with top = m/n, m+1 -> (n+1)^top; top is None for
+    f_inf.  It is refused with HomError, before it is built, past
+    IMAGE_WORD_MAX_LEN letters."""
+    l, i = divmod(k - 1, n)
+    tail = () if l == top else (i + 1,)
+    if l + len(tail) > IMAGE_WORD_MAX_LEN:
         raise HomError("image of generator %d is a word of %d letters, past the"
-                       " bound of %d" % (k, power + len(tail), IMAGE_WORD_MAX_LEN))
-    return (letter,) * power + tail
+                       " bound of %d" % (k, l + len(tail), IMAGE_WORD_MAX_LEN))
+    return (n + 1,) * l + tail
 
 
-def _block_rule(n: int) -> Callable[[int], Word]:
-    """Generator n*l+i -> the word (n+1)^l i for 1 <= i <= n."""
-
-    def rule(k: int) -> Word:
-        l, i = divmod(k - 1, n)
-        return _image_word(k, n + 1, l, (i + 1,))
-
-    return rule
+def _comb_decode(n: int, top: int, w: Word) -> Optional[Word]:
+    """The generators of f(n, m), top = m/n, whose comb words concatenate to
+    w, or None when w ends inside a run of fewer than top letters n+1.  A
+    run of top letters n+1 is generator m+1, and a run of l < top of them
+    then a letter i <= n is generator n*l+i; no code word is built."""
+    out, run, last = [], 0, n + 1
+    for a in w:
+        if a != last:
+            out.append(n * run + a)
+            run = 0
+        elif run + 1 == top:
+            out.append(n * top + 1)
+            run = 0
+        else:
+            run += 1
+    return None if run else tuple(out)
 
 
 def _check_ints(what: str, *values) -> None:
@@ -348,6 +354,10 @@ def _check_ints(what: str, *values) -> None:
 
 
 def _check_divides(n: int, m: int) -> None:
+    """Refuse with HomError (n, m) unless both are positive ints and n
+    divides m; plain ints skip the call to _check_ints."""
+    if type(n) is not int or type(m) is not int:
+        _check_ints("n and m", n, m)
     if n < 1 or m < 1:
         raise HomError("n and m must be positive")
     if m % n:
@@ -355,38 +365,19 @@ def _check_divides(n: int, m: int) -> None:
 
 
 def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
-    """The y in R_m with f(n, m)(y) = x, or None when x has no preimage.
-
-    f's words form the prefix code {(n+1)^l i : l < m/n} + {(n+1)^(m/n)}, so
-    each word of x decodes in one left-to-right read: a run of m/n letters
-    n+1 is generator m+1, and a run of l < m/n letters n+1 then a letter
-    i <= n is generator n*l+i.  A word that ends inside a shorter run of n+1
-    does not decode, and then no y exists.  Decoding is one-to-one, and a
-    decoded word ends in m+1 iff its code word ends in n+1, so canonical
-    terms of x give canonical terms of y: y keeps x's nonzero coefficients
-    and needs no rewrite, so its table is taken as it is."""
+    """The y in R_m with f(n, m)(y) = x, or None when some word of x does
+    not decode through f's comb code.  Decoding is one-to-one, and a decoded
+    word ends in m+1 iff its code word ends in n+1, so canonical terms of x
+    give canonical terms of y: y keeps x's nonzero coefficients and needs no
+    rewrite, so its table is taken as it is."""
     _check_divides(n, m)
     if x.tag.ngens != n + 1:
         raise AlgebraError("algebra mismatch: %s vs f(%d, %d) codomain O_%d"
                            % (x.tag, n, m, n + 1))
-    top, last = m // n, n + 1
-
-    def decode(w: Word) -> Optional[Word]:
-        out, run = [], 0
-        for a in w:
-            if a != last:
-                out.append(n * run + a)
-                run = 0
-            elif run + 1 == top:
-                out.append(m + 1)
-                run = 0
-            else:
-                run += 1
-        return None if run else tuple(out)
-
+    top = m // n
     terms = {}
     for (l, r), c in x.terms.items():
-        dl, dr = decode(l), decode(r)
+        dl, dr = _comb_decode(n, top, l), _comb_decode(n, top, r)
         if dl is None or dr is None:
             return None
         terms[dl, dr] = c
@@ -394,20 +385,13 @@ def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
 
 
 def f(n: int, m: int) -> GenHom:
-    """The connecting map R_m -> R_n of the inverse system (n divides m):
-    generator n*l+i -> (s_{n+1})^l s_i and generator m+1 -> (s_{n+1})^{m/n}.
-    For n = m this is the identity.
+    """The connecting map R_m -> R_n of the inverse system (n divides m),
+    generator k -> its comb word: n*l+i -> (s_{n+1})^l s_i and
+    m+1 -> (s_{n+1})^{m/n}.  For n = m this is the identity.
     """
-    _check_ints("n and m", n, m)
     _check_divides(n, m)
-    cod = AlgebraTag(n + 1)
-    block = _block_rule(n)
-
-    def rule(k: int) -> Element:
-        w = block(k) if k <= m else _image_word(k, n + 1, m // n)
-        return Element(cod, {(w, EPS): ONE})
-
-    return GenHom(AlgebraTag(m + 1), cod, rule)
+    cod, top = AlgebraTag(n + 1), m // n
+    return GenHom(AlgebraTag(m + 1), cod, lambda k: _monomial(cod, _comb_word(n, top, k)))
 
 
 def f_inf(n: int) -> WordHom:
@@ -425,7 +409,7 @@ def f_inf(n: int) -> WordHom:
 
 @lru_cache(maxsize=F_INF_MEMO_SIZE, typed=True)
 def _f_inf(n: int) -> WordHom:
-    return WordHom(O_INF, AlgebraTag(n + 1), _block_rule(n))
+    return WordHom(O_INF, AlgebraTag(n + 1), lambda k: _comb_word(n, None, k))
 
 
 def rn(r: int, n: int) -> int:

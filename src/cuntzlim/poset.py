@@ -12,7 +12,8 @@ POSET_MAX = 10 ** 4
 
 
 def _check_carrier(xs: Sequence) -> None:
-    if not all(isinstance(a, int) and a >= 1 for a in xs):
+    # a bool is refused too, though bool subclasses int
+    if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 1 for a in xs):
         raise ValueError("poset elements must be positive integers: %r" % (tuple(xs),))
 
 

@@ -69,6 +69,18 @@ def test_f_general_formula():
     ]
 
 
+def test_f_and_f_inf_share_the_comb_code():
+    # f(n, m) sends its first m generators to the words of f_inf(n) and its
+    # top generator to (n+1)^(m/n); f_preimage decodes every one of them
+    for m in range(1, 41):
+        for n in (d for d in range(1, m + 1) if m % d == 0):
+            words = f(n, m).image_words()
+            assert words[:m] == [f_inf(n).word(k) for k in range(1, m + 1)]
+            assert words[m:] == [(n + 1,) * (m // n)]
+            for k, w in enumerate(words, 1):
+                assert f_preimage(n, m, mono(O(n + 1), w)) == gen(O(m + 1), k)
+
+
 def test_f_requires_divisibility():
     with pytest.raises(HomError):
         f(2, 3)
@@ -446,6 +458,12 @@ def test_f_preimage_checks_its_input():
         f_preimage(2, 3, gen(O(3), 1))
     with pytest.raises(HomError, match="positive"):
         f_preimage(0, 2, gen(O(2), 1))
+    # unrefused, 2.0 would decode to the float letter 1.0 and True would
+    # answer as n = 1
+    for n, m, x in ((2.0, 4, gen(O(3), 1)), (True, 2, gen(O(2), 1)),
+                    (1, 2.0, gen(O(2), 1)), (1, True, gen(O(2), 1))):
+        with pytest.raises(HomError, match="must be integers"):
+            f_preimage(n, m, x)
 
 
 def test_f_preimage_of_f_n_n_is_the_identity():
@@ -462,7 +480,7 @@ def test_f_preimage_with_a_long_last_word_builds_no_word(monkeypatch):
     def refuse(*args):
         raise AssertionError("a code word was built")
 
-    monkeypatch.setattr(homs, "_image_word", refuse)
+    monkeypatch.setattr(homs, "_comb_word", refuse)
     m = 10 ** 11
     assert f_preimage(1, m, gen(O(2), 1)) == gen(O(m + 1), 1)
     assert f_preimage(1, m, mono(O(2), (2,) * 5 + (1,), (1,))) == mono(O(m + 1), (6,), (1,))

@@ -491,13 +491,13 @@ def test_psi_entries_keep_the_terms_of_x(ch, triples):
 def test_psi_builds_each_word_once(monkeypatch):
     # psi reuses the memoised f_inf(n) and the words its earlier calls built
     calls = []
-    build = homs._image_word
+    build = homs._comb_word
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(homs, "_image_word", counted)
+    monkeypatch.setattr(homs, "_comb_word", counted)
     homs._f_inf.cache_clear()
     ch, x = Chain((1, 2, 6)), mono(O_INF, (5, 7), (3,), 2) + gen(O_INF, 9)
     first = psi(ch, x)

@@ -24,8 +24,10 @@ def test_leq_is_divisibility_with_top():
 
 def test_leq_and_join_require_positive_integers():
     # 2.0 divides 4 as a float, and math.inf is no element: O_inf is not an
-    # index of the inverse system but its limit
-    for n, m in ((2.0, 4), (5, math.inf), (math.inf, 5), (0, 3), (3, -6)):
+    # index of the inverse system but its limit; True is an int that is no
+    # positive integer of the poset
+    for n, m in ((2.0, 4), (5, math.inf), (math.inf, 5), (0, 3), (3, -6),
+                 (True, 2), (2, True)):
         for op in (leq, join):
             with pytest.raises(ValueError, match="poset elements must be positive integers"):
                 op(n, m)
@@ -60,7 +62,7 @@ def test_chain_requires_strict_divisibility():
 
 def test_chain_requires_positive_integers():
     # a lone element is checked too, and 1.5 divides 3 as a float
-    for elems in ((0,), (-3,), (1.5, 3), (1, math.inf)):
+    for elems in ((0,), (-3,), (1.5, 3), (1, math.inf), (True, 2), (True,)):
         with pytest.raises(ValueError, match="poset elements must be positive integers"):
             Chain(elems)
 
@@ -69,7 +71,7 @@ def test_cofinal_chain_requires_positive_integers():
     # lcm(0, 3) = 0: the enumeration's 0 is refused, not returned as
     # Chain((0,)); math.lcm would refuse 2.5 with a TypeError; elements past
     # the length are not read
-    for enum in ([0, 3], [2, 2.5], [2, math.inf]):
+    for enum in ([0, 3], [2, 2.5], [2, math.inf], [True, 2]):
         with pytest.raises(ValueError, match="poset elements must be positive integers"):
             cofinal_chain(enum, 2)
     assert list(cofinal_chain([2, 3, 2.5], 2)) == [2, 6]
