@@ -12,6 +12,10 @@ agree.  All operations are pure; elements are immutable by convention (term
 tables are never mutated after construction).
 Words are checked where they enter, by `mono`, `gen` and `parser.parse`;
 `Element` and the operations build only from checked words and trust them.
+Every parameter of the library (a generator index or count, n and m of
+the inverse system, a chain element, a suite size) is an int with a lower
+bound: the public entry points refuse any other value, a float or a bool
+too, with check_int and their module's ValueError subclass.
 """
 from __future__ import annotations
 
@@ -29,6 +33,15 @@ class AlgebraError(ValueError):
     pass
 
 
+def check_int(name: str, value, low: int, error: type) -> None:
+    """Refuse with `error`, a ValueError subclass, a value that is not an
+    int, a bool included though bool subclasses int, or is below low."""
+    if type(value) is not int:
+        raise error("%s must be an int >= %d, got %r" % (name, low, value))
+    if value < low:
+        raise error("%s must be >= %d, got %d" % (name, low, value))
+
+
 @dataclass(frozen=True)
 class AlgebraTag:
     """Ambient algebra: O_ngens for finite ngens >= 2, O_inf for ngens=None."""
@@ -36,16 +49,15 @@ class AlgebraTag:
     ngens: Optional[int]
 
     def __post_init__(self):
-        if self.ngens is not None and self.ngens < 2:
-            raise AlgebraError("finite Cuntz algebra needs at least 2 generators")
+        if self.ngens is not None:
+            check_int("generator count", self.ngens, 2, AlgebraError)
 
     @property
     def is_finite(self) -> bool:
         return self.ngens is not None
 
     def check_index(self, k: int) -> None:
-        if k < 1:
-            raise AlgebraError("generator index %r out of range" % (k,))
+        check_int("generator index", k, 1, AlgebraError)
         if self.ngens is not None and k > self.ngens:
             raise AlgebraError(
                 "generator index %d out of range for O_%d" % (k, self.ngens)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .algebra import AlgebraError, Element, Word, mono
+from .algebra import AlgebraError, Element, Word, check_int, mono
 from .homs import GenHom, HomError, apply, compose, q, rn
 
 
@@ -68,8 +68,8 @@ def uhf_chain_check(r: int, depth: int,
     the DigitMap (r, 2^n) on O_{r^(2^n)}.  The composite's code length L is
     the level's grade scale: a digit map (a, L) multiplies |J| - |K| by L.  A
     map without a code fails its level.  Depth is bounded by q's Q_MAX_BITS."""
-    if depth < 2 or r < 2:
-        raise ValueError("need r >= 2 and depth >= 2")
+    check_int("r", r, 2, ValueError)
+    check_int("depth", depth, 2, ValueError)
     levels = []
     push = None  # composed map A_{r,n+1} -> A_{r,1}
     for n in range(1, depth):

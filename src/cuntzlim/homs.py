@@ -32,9 +32,7 @@ Bounds: a comb word, and every word that apply of a word hom builds, has at
 most IMAGE_WORD_MAX_LEN letters and is refused with HomError before it is
 built; q refuses an r_n of more than Q_MAX_BITS bits.  f_inf(n) is memoised
 per process, at most F_INF_MEMO_SIZE homs, and the word table of a kept hom
-grows with the generators it is asked for.  f, f_inf, f_preimage and q
-refuse with HomError any parameter that is not an int, a bool included,
-f_inf before the memo is consulted.
+grows with the generators it is asked for.
 """
 from __future__ import annotations
 
@@ -53,6 +51,7 @@ from .algebra import (
     _trusted,
     adjoint,
     add,
+    check_int,
     equals,
     multiply,
     normalize,
@@ -103,8 +102,9 @@ class GenHom:
     """A *-homomorphism given by its generator images.
 
     Images come from a rule k -> Element that runs the first time generator
-    k is asked for; its index and tag are checked then and the image is
-    cached.  A finite domain also accepts the sequence of all its images.
+    k is asked for; its tag is checked then and the image is cached.  k is
+    checked on every call.  A finite domain also accepts the sequence of its
+    images.
     """
 
     __slots__ = ("domain", "codomain", "_rule", "_cache")
@@ -131,9 +131,9 @@ class GenHom:
         self._rule = images
 
     def image(self, k: int) -> Element:
+        self.domain.check_index(k)
         e = self._cache.get(k)
         if e is None:
-            self.domain.check_index(k)
             e = self._rule(k)
             if e.tag != self.codomain:
                 raise HomError("image of generator %d has wrong tag" % k)
@@ -194,9 +194,9 @@ def _monomial(tag: AlgebraTag, w: Word) -> Element:
 
 class WordHom(GenHom):
     """A hom that sends each generator to one isometry word, given by a rule
-    k -> Word.  word(k) runs the rule the first time generator k is asked
-    for, checks the index then and keeps the word in its one table;
-    image(k) is the bare monomial s_w of that word, built on each call."""
+    k -> Word.  word(k) checks the index, runs the rule the first time
+    generator k is asked for and keeps the word in its one table; image(k)
+    is the bare monomial s_w of that word, built on each call."""
 
     __slots__ = ("_words", "_word_rule")
 
@@ -208,9 +208,9 @@ class WordHom(GenHom):
         self._word_rule = rule
 
     def word(self, k: int) -> Word:
+        self.domain.check_index(k)
         w = self._words.get(k)
         if w is None:
-            self.domain.check_index(k)
             w = self._words[k] = self._word_rule(k)
         return w
 
@@ -298,7 +298,9 @@ class DigitMap(WordHom):
     __slots__ = ("code",)
 
     def __init__(self, domain: AlgebraTag, a: int, length: int):
-        if not domain.is_finite or a < 2 or length < 1 or domain.ngens > a ** length:
+        check_int("a", a, 2, HomError)
+        check_int("length", length, 1, HomError)
+        if not domain.is_finite or domain.ngens > a ** length:
             raise HomError("no digit code (%d, %d) on %s" % (a, length, domain))
         cod = AlgebraTag(a)
 
@@ -345,23 +347,25 @@ def _comb_decode(n: int, top: int, w: Word) -> Optional[Word]:
     return None if run else tuple(out)
 
 
-def _check_ints(what: str, *values) -> None:
-    """Refuse with HomError any value that is not an int; a bool is refused
-    too, though bool subclasses int."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise HomError("%s must be integers, got %r" % (what, v))
-
-
 def _check_divides(n: int, m: int) -> None:
-    """Refuse with HomError (n, m) unless both are positive ints and n
-    divides m; plain ints skip the call to _check_ints."""
-    if type(n) is not int or type(m) is not int:
-        _check_ints("n and m", n, m)
-    if n < 1 or m < 1:
-        raise HomError("n and m must be positive")
+    """Refuse with HomError (n, m) unless both are ints >= 1 and n divides m."""
+    check_int("n", n, 1, HomError)
+    check_int("m", m, 1, HomError)
     if m % n:
         raise HomError("%d does not divide %d" % (n, m))
+
+
+def _comb_preimage(n: int, m: int, x: Element) -> Optional[dict]:
+    """The term table of the y in R_m with f(n, m)(y) = x, for checked n | m
+    and x in R_n, or None when some word of x does not decode."""
+    top = m // n
+    terms = {}
+    for (l, r), c in x.terms.items():
+        dl, dr = _comb_decode(n, top, l), _comb_decode(n, top, r)
+        if dl is None or dr is None:
+            return None
+        terms[dl, dr] = c
+    return terms
 
 
 def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
@@ -374,14 +378,8 @@ def f_preimage(n: int, m: int, x: Element) -> Optional[Element]:
     if x.tag.ngens != n + 1:
         raise AlgebraError("algebra mismatch: %s vs f(%d, %d) codomain O_%d"
                            % (x.tag, n, m, n + 1))
-    top = m // n
-    terms = {}
-    for (l, r), c in x.terms.items():
-        dl, dr = _comb_decode(n, top, l), _comb_decode(n, top, r)
-        if dl is None or dr is None:
-            return None
-        terms[dl, dr] = c
-    return _trusted(AlgebraTag(m + 1), terms)
+    terms = _comb_preimage(n, m, x)
+    return None if terms is None else _trusted(AlgebraTag(m + 1), terms)
 
 
 def f(n: int, m: int) -> GenHom:
@@ -401,9 +399,7 @@ def f_inf(n: int) -> WordHom:
     words are built once.  At most F_INF_MEMO_SIZE homs are kept, each word
     of at most IMAGE_WORD_MAX_LEN letters.  n is checked before the memo is
     consulted, so a refused n is never cached."""
-    _check_ints("n", n)
-    if n < 1:
-        raise HomError("n must be positive")
+    check_int("n", n, 1, HomError)
     return _f_inf(n)
 
 
@@ -414,15 +410,16 @@ def _f_inf(n: int) -> WordHom:
 
 def rn(r: int, n: int) -> int:
     """Generator count r^(2^(n-1)) of the doubling chain."""
+    check_int("r", r, 2, HomError)
+    check_int("n", n, 1, HomError)
     return r ** (2 ** (n - 1))
 
 
 def q(r: int, n: int) -> GenHom:
     """The squaring map O_{r_{n+1}} -> O_{r_n}: generator r_n*(i-1)+j -> s_i s_j,
     the digit map (r_n, 2)."""
-    _check_ints("r and n", r, n)
-    if r < 2 or n < 1:
-        raise HomError("need r >= 2 and n >= 1")
+    check_int("r", r, 2, HomError)
+    check_int("n", n, 1, HomError)
     # r_n has at most r.bit_length() << (n - 1) bits; as r >= 2, every n past
     # Q_MAX_BITS.bit_length() is refused before that shift is taken
     if n > Q_MAX_BITS.bit_length() or r.bit_length() << (n - 1) > Q_MAX_BITS:
@@ -436,11 +433,8 @@ def hom_exists(m_gens: Optional[int], n_gens: Optional[int]) -> bool:
     """Existence of a unital *-homomorphism O_m -> O_n, for int generator
     counts >= 2 (None = O_inf)."""
     for v in (m_gens, n_gens):
-        if v is None:
-            continue
-        _check_ints("generator counts", v)
-        if v < 2:
-            raise HomError("generator counts must be >= 2")
+        if v is not None:
+            check_int("generator count", v, 2, HomError)
     if n_gens is None:
         return m_gens is None  # no O_m -> O_inf for finite m
     if m_gens is None:

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .algebra import AlgebraError, Element, O, Word
-from .homs import apply, f_inf, f_preimage
+from .algebra import AlgebraError, Element, O, Word, check_int
+from .homs import _comb_preimage, apply, f_inf
 from .poset import Chain
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -47,9 +47,10 @@ def check_coherent(fam: CoherentFamily) -> bool:
     only generator m+1's word ends in n+1.  A canonical term of x_{j+1}
     therefore maps to a canonical term, one-to-one, with its coefficient,
     and f(y) = x holds iff every term of x decodes and the decoded terms
-    are those of y (f_preimage)."""
+    are those of y (f_preimage).  The chain and the entries' tags were
+    checked when the family was built, so they are not checked again."""
     ns, xs = fam.chain.elements, fam.entries
-    return all(f_preimage(n, m, x) == y
+    return all(_comb_preimage(n, m, x) == y.terms
                for n, m, x, y in zip(ns, ns[1:], xs, xs[1:]))
 
 
@@ -63,11 +64,6 @@ def psi(chain: Chain, x: Element) -> CoherentFamily:
 # ---------------------------------------------------------------------------
 # word combinatorics over {1, 2}
 # ---------------------------------------------------------------------------
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
-
 
 def _check_sgword(w: Word) -> None:
     if any(a not in (1, 2) for a in w):
@@ -85,7 +81,7 @@ def _trailing_two_run(w: Word) -> int:
 
 def in_K(n: int, w: Word) -> bool:
     """w = (2^n)^k for some k >= 1."""
-    _check_n(n)
+    check_int("n", n, 1, ValueError)
     _check_sgword(w)
     return len(w) > 0 and all(a == 2 for a in w) and len(w) % n == 0
 
@@ -100,7 +96,7 @@ def in_L(n: int, w: Word) -> bool:
     """Concatenations of blocks {1, 21, ..., 2^(n-1) 1, 2^n}: any maximal
     2-run before a 1 splits greedily, so membership reduces to the trailing
     2-run having length divisible by n."""
-    _check_n(n)
+    check_int("n", n, 1, ValueError)
     _check_sgword(w)
     return len(w) > 0 and _trailing_two_run(w) % n == 0
 
@@ -109,7 +105,7 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
     """Split of L_n into L_inf and Y_n = {u, xu : x in L_inf, u in K_n}.
 
     Returns ("L_inf", None) or ("Y", (x, u)) with w = x + u, u a 2-run."""
-    _check_n(n)
+    check_int("n", n, 1, ValueError)
     w = tuple(w)
     if not w:
         raise ValueError("word () is not in L_%d" % n)
@@ -152,7 +148,7 @@ def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element
     its (Q_inf, V_n, V_n*) parts; the parts sum back to the input.  The raw
     words are checked here; the canonical form of a mixed monomial
     x 2^(an) (y 2^(bn))* is already split by the Leavitt rewrite."""
-    _check_n(n)
+    check_int("n", n, 1, ValueError)
     left, right = tuple(left), tuple(right)
     _split_ln(n, left)
     _split_ln(n, right)
@@ -166,7 +162,7 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     Q_inf otherwise: a canonical O_2 term never has both words ending in 2."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
-    _check_n(n)
+    check_int("n", n, 1, ValueError)
     parts = ([], [], [])
     for key, c in e.terms.items():
         l, r = key
@@ -184,7 +180,8 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
 def state_omega(n: int, e: Element) -> GaussianRational:
     """The unique state on R_n with value 1 on s_1: a monomial contributes
     its coefficient iff both words consist solely of the letter 1."""
-    if e.tag != O(n + 1):
+    check_int("n", n, 1, ValueError)
+    if e.tag.ngens != n + 1:
         raise AlgebraError("element must live in R_%d = O_%d" % (n, n + 1))
     total = ZERO
     for (l, r), c in e.terms.items():

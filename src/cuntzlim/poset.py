@@ -6,26 +6,24 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
+from .algebra import check_int
+
 # graphs have at most POSET_MAX vertices, so at most about 10^5 edges: vertex
 # d has fewer than POSET_MAX/d multiples
 POSET_MAX = 10 ** 4
 
 
-def _check_carrier(xs: Sequence) -> None:
-    # a bool is refused too, though bool subclasses int
-    if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 1 for a in xs):
-        raise ValueError("poset elements must be positive integers: %r" % (tuple(xs),))
-
-
 def leq(n: int, m: int) -> bool:
     """n precedes m iff n divides m."""
-    _check_carrier((n, m))
+    check_int("poset element", n, 1, ValueError)
+    check_int("poset element", m, 1, ValueError)
     return m % n == 0
 
 
 def join(n: int, m: int) -> int:
     """Least upper bound (lcm), witnessing directedness."""
-    _check_carrier((n, m))
+    check_int("poset element", n, 1, ValueError)
+    check_int("poset element", m, 1, ValueError)
     return math.lcm(n, m)
 
 
@@ -40,9 +38,10 @@ class Chain:
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ValueError("chain must be nonempty")
-        _check_carrier(elems)
+        for a in elems:
+            check_int("poset element", a, 1, ValueError)
         for a, b in zip(elems, elems[1:]):
-            if not leq(a, b) or a == b:
+            if b % a or a == b:
                 raise ValueError("not strictly increasing under divisibility: %r" % (elems,))
 
     def __iter__(self):
@@ -59,8 +58,7 @@ def cofinal_chain(enumeration: Sequence[int], length: int) -> Chain:
     """Totally ordered cofinal subsequence: y_1 = x_1 and y_k = lcm(y_{k-1}, x_k).
 
     Every enumerated x_i with i <= length divides some chain element."""
-    if length < 1:
-        raise ValueError("chain length must be >= 1, got %d" % length)
+    check_int("chain length", length, 1, ValueError)
     xs = list(enumeration)[:length]
     if not xs:
         raise ValueError("empty enumeration")
@@ -95,8 +93,7 @@ def embeddability_edges(max_generators: int, reduce: bool = False) -> List[Tuple
     """Edges O_m -> O_n (as generator-count pairs) for unital embeddings,
     that is (n-1) | (m-1); with reduce=True only covering arrows are kept
     (the Hasse diagram)."""
-    if max_generators < 2:
-        raise ValueError("need at least O_2")
+    check_int("max_generators", max_generators, 2, ValueError)
     return sorted((m + 1, n + 1) for n, m in divisibility_edges(max_generators - 1, reduce))
 
 
@@ -105,6 +102,7 @@ def divisibility_edges(max_n: int, reduce: bool = False) -> List[Tuple[int, int]
     k >= 2, in sorted order; with reduce=True only those with k prime, the
     covers of the divisibility order (every multiple of d that divides k*d is
     at most max_n)."""
+    check_int("max_n", max_n, 0, ValueError)
     if max_n > POSET_MAX:
         raise ValueError("a graph on %d vertices is too large: the bound is %d"
                          % (max_n, POSET_MAX))

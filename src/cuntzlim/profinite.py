@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import Element
+from .algebra import Element, check_int
 
 # discontinuity_report refuses depths past REPORT_MAX_DEPTH: at depth 1000 its
 # residues mod up to 1001! have up to 2571 digits and the report is 2.4 MB;
@@ -133,25 +133,23 @@ def discontinuity_report(depth: int, bound: int, p: int = 2,
     """The all-ones element against the integers in [-bound, bound], up to
     the factorial depth.  Its p-adic digits are printed only as far as its
     class mod (depth+1)! fixes them: v_p((depth+1)!) digits, at most
-    p_precision.  So depth must be >= 1, p a prime <= depth + 1, and
-    bound >= 0."""
+    p_precision.  So depth must be >= 1, p a prime <= depth + 1, bound
+    >= 0 and p_precision >= 1."""
+    check_int("depth", depth, 1, ValueError)
     if depth > REPORT_MAX_DEPTH:
         raise ValueError("depth %d is too deep: reports are built up to depth %d"
                          % (depth, REPORT_MAX_DEPTH))
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if bound < 0:
-        raise ValueError("bound must be >= 0, got %d" % bound)
+    check_int("bound", bound, 0, ValueError)
+    check_int("p", p, 2, ValueError)
+    check_int("p_precision", p_precision, 1, ValueError)
     # a p past depth + 1 divides no factor of (depth+1)!: it is refused
     # before its primality is tested
-    if not 2 <= p <= depth + 1 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+    if p > depth + 1 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise ValueError("need a prime p <= depth + 1 = %d, got %d" % (depth + 1, p))
     determined, pk = 0, p  # Legendre: v_p(N!) = sum of N // p^k
     while pk <= depth + 1:
         determined += (depth + 1) // pk
         pk *= p
-    if p_precision < 1:
-        raise ValueError("need prime p >= 2 and precision >= 1")
 
     # S_d < (d+1)! is the residue itself, and S_D = S_d mod (d+1)! for D >= d,
     # so one pass over d, carrying d! and S_d, gives every residue and finds

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algebra import Element, O, equals, mono, unit
+from .algebra import Element, O, check_int, equals, mono, unit
 from .gauge import uhf_chain_check
 from .homs import DigitMap, GenHom, apply, compose, f, q
 from .limits import (
@@ -37,8 +37,7 @@ DECOMPOSITION_MAX_LEN = 10
 
 
 def _check_size(name: str, value: int, low: int, high: int) -> None:
-    if value < low:
-        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+    check_int(name, value, low, ValueError)
     if value > high:
         raise ValueError("%s %d is too large: this suite runs up to %s %d"
                          % (name, value, name, high))
@@ -100,8 +99,7 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
     sum back and satisfy disjoint shape predicates.  Each monomial is built
     once, in canonical form, and decomposed.  The words are enumerated over
     {1, 2}, so each pair is built without a letter check."""
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    check_int("n", n, 1, ValueError)
     _check_size("max-len", max_len, 0, DECOMPOSITION_MAX_LEN)
     tag = O(2)
     words = [()] + [
@@ -139,6 +137,7 @@ def verify_state(max_m: int, samples: int = 500, corrupt: bool = False,
     monomials, since the state tests the all-ones property letterwise) plus
     random monomials up to the sampled word length."""
     _check_size("max", max_m, 1, STATE_MAX)
+    check_int("samples", samples, 0, ValueError)
     rng = random.Random(seed)
     for m in range(1, max_m + 1):
         for n in range(1, m + 1):

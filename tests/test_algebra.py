@@ -27,10 +27,13 @@ O3 = O(3)
 
 
 def test_tag_validation():
-    with pytest.raises(AlgebraError):
-        O(1)
-    with pytest.raises(AlgebraError):
-        O(0)
+    for bad in (1, 0):
+        with pytest.raises(AlgebraError, match="generator count must be >= 2, got %d" % bad):
+            O(bad)
+    # O_2.5 does not exist, and O_2.0 and O_True would be tags unequal to O_2
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(AlgebraError, match="generator count must be an int >= 2"):
+            AlgebraTag(bad)
     assert O_INF.ngens is None
     assert not O_INF.is_finite
 
@@ -39,15 +42,21 @@ def test_generator_index_bounds():
     gen(O2, 2)
     with pytest.raises(AlgebraError):
         gen(O2, 3)
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="generator index must be >= 1, got 0"):
         gen(O2, 0)
+    for tag, bad in ((O3, 2.0), (O3, True), (O_INF, 1.0)):
+        with pytest.raises(AlgebraError, match="generator index must be an int >= 1"):
+            gen(tag, bad)
     gen(O_INF, 10 ** 6)
 
 
 def test_mono_rejects_out_of_range_letters():
-    for tag, bad in ((O2, 3), (O2, 0), (O3, 4)):
-        for left, right in (((1, bad), ()), ((1,), (bad, 1))):
-            with pytest.raises(AlgebraError, match="out of range"):
+    # unrefused, 1.0 and True would be letters of an Element's word
+    for tag, bad, message in ((O2, 3, "3 out of range"), (O3, 4, "4 out of range"),
+                              (O2, 0, "must be >= 1, got 0"),
+                              (O2, 1.0, "must be an int >= 1"), (O2, True, "must be an int >= 1")):
+        for left, right in (((1, bad), ()), ((1,), (bad, 1)), ((bad,), ())):
+            with pytest.raises(AlgebraError, match="generator index " + message):
                 mono(tag, left, right)
 
 

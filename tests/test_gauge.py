@@ -120,10 +120,14 @@ def test_uhf_chain_check_fails_a_level_without_word_images():
 
 
 def test_uhf_chain_check_depth_guard():
-    with pytest.raises(ValueError):
-        uhf_chain_check(2, 1)
-    with pytest.raises(ValueError):
-        uhf_chain_check(1, 10**6)
+    for r, depth, message in ((2, 1, "depth must be >= 2, got 1"),
+                              (1, 10 ** 6, "r must be >= 2, got 1"),
+                              (2, 3.0, "depth must be an int >= 2"),
+                              (2, True, "depth must be an int >= 2"),
+                              (2.0, 3, "r must be an int >= 2"),
+                              (True, 3, "r must be an int >= 2")):
+        with pytest.raises(ValueError, match=message):
+            uhf_chain_check(r, depth)
 
 
 def test_uhf_chain_check_depth_is_bounded_only_by_q():

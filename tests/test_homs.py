@@ -176,23 +176,38 @@ def test_f_inf_memo_is_bounded():
 
 def test_f_inf_refusals_are_never_cached():
     for _ in range(2):
-        with pytest.raises(HomError, match="positive"):
+        with pytest.raises(HomError, match="n must be >= 1, got 0"):
             f_inf(0)
     for bad in (2.0, True, "2", [2], None):
-        with pytest.raises(HomError, match="must be integers"):
+        with pytest.raises(HomError, match="n must be an int >= 1"):
             f_inf(bad)
     h = f_inf(2)
     size = homs._f_inf.cache_info().currsize
     # without the type check, 2.0 == 2 would hit or poison f_inf(2)'s entry
-    with pytest.raises(HomError, match="must be integers"):
+    with pytest.raises(HomError, match="n must be an int >= 1"):
         f_inf(2.0)
     assert f_inf(2) is h and homs._f_inf.cache_info().currsize == size
 
 
 def test_families_refuse_parameters_that_are_not_ints():
-    for build, args in ((f, (2, 4.0)), (f, (2.0, 4)), (f, (True, 2)), (f, (1, "2")),
-                        (q, (2.0, 1)), (q, (2, 1.0)), (q, (2, True)), (q, (None, 1))):
-        with pytest.raises(HomError, match="must be integers"):
+    # each parameter is an int with a lower bound: rn(2.0, 2) was 16.0 and
+    # DigitMap(O(4), 2.0, 2) a hom whose words held float letters
+    for build, args, message in (
+            (f, (2, 4.0), "m must be an int >= 1"), (f, (2.0, 4), "n must be an int >= 1"),
+            (f, (True, 2), "n must be an int >= 1"), (f, (1, "2"), "m must be an int >= 1"),
+            (f, (0, 2), "n must be >= 1, got 0"), (f, (2, 0), "m must be >= 1, got 0"),
+            (q, (2.0, 1), "r must be an int >= 2"), (q, (2, 1.0), "n must be an int >= 1"),
+            (q, (2, True), "n must be an int >= 1"), (q, (None, 1), "r must be an int >= 2"),
+            (q, (1, 1), "r must be >= 2, got 1"), (q, (2, 0), "n must be >= 1, got 0"),
+            (rn, (2.0, 2), "r must be an int >= 2"), (rn, (True, 2), "r must be an int >= 2"),
+            (rn, (2, 2.0), "n must be an int >= 1"), (rn, (1, 2), "r must be >= 2, got 1"),
+            (rn, (2, 0), "n must be >= 1, got 0"),
+            (DigitMap, (O(4), 2.0, 2), "a must be an int >= 2"),
+            (DigitMap, (O(4), True, 2), "a must be an int >= 2"),
+            (DigitMap, (O(4), 2, 2.0), "length must be an int >= 1"),
+            (DigitMap, (O(4), 1, 2), "a must be >= 2, got 1"),
+            (DigitMap, (O(4), 2, 0), "length must be >= 1, got 0")):
+        with pytest.raises(HomError, match="^" + message):
             build(*args)
 
 
@@ -337,8 +352,9 @@ def test_hom_exists_divisibility_rule():
     # an O_2.5 does not exist; neither does O_3.0 as a float count, and O_inf
     # is None, not math.inf
     for m, n in ((7, 2.5), (2.5, 2), (3.0, 2), (3, 2.0), (None, 3.0), (3.0, math.inf),
-                 (math.inf, 0), (math.inf, 2), (2, math.inf), (math.inf, None)):
-        with pytest.raises(HomError, match="must be integers"):
+                 (math.inf, 0), (math.inf, 2), (2, math.inf), (math.inf, None),
+                 (True, 2), (3, True)):
+        with pytest.raises(HomError, match="generator count must be an int >= 2"):
             hom_exists(m, n)
 
 
@@ -456,13 +472,13 @@ def test_f_preimage_checks_its_input():
         f_preimage(2, 4, gen(O_INF, 1))
     with pytest.raises(HomError, match="does not divide"):
         f_preimage(2, 3, gen(O(3), 1))
-    with pytest.raises(HomError, match="positive"):
+    with pytest.raises(HomError, match="n must be >= 1, got 0"):
         f_preimage(0, 2, gen(O(2), 1))
     # unrefused, 2.0 would decode to the float letter 1.0 and True would
     # answer as n = 1
     for n, m, x in ((2.0, 4, gen(O(3), 1)), (True, 2, gen(O(2), 1)),
                     (1, 2.0, gen(O(2), 1)), (1, True, gen(O(2), 1))):
-        with pytest.raises(HomError, match="must be integers"):
+        with pytest.raises(HomError, match="must be an int >= 1"):
             f_preimage(n, m, x)
 
 
@@ -619,7 +635,15 @@ def test_word_hom_checks_and_caches_its_words():
     assert h.image(2) == mono(O(2), (1, 1))
     assert h.image_words() == [(1,), (1, 1), (1, 1, 1)]
     assert calls == [2, 1, 3]
-    for k in (0, 4):
-        with pytest.raises(AlgebraError, match="out of range"):
-            h.word(k)
+    for get in (h.word, h.image):
+        with pytest.raises(AlgebraError, match="generator index 4 out of range"):
+            get(4)
+    # generator 2 is kept, yet 2.0 and True are refused, not answered from
+    # the table; f_inf(2).image(2.0) missed its table with a TypeError
+    for get in (h.word, h.image, f_inf(2).image, f(1, 2).image):
+        get(2)
+        for k, message in ((0, "must be >= 1, got 0"), (2.0, "must be an int >= 1"),
+                           (True, "must be an int >= 1")):
+            with pytest.raises(AlgebraError, match="generator index " + message):
+                get(k)
     assert calls == [2, 1, 3]

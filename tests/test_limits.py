@@ -299,20 +299,25 @@ def test_decompose_element_negates_no_coefficient(rng, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
 def test_decomposition_refuses_n_below_one(n):
+    # in_L(True, (2,)) answered for L_1, in_L(2.0, (2, 2)) for L_2 and
+    # state_omega(True, e) for R_1
+    message = ("n must be an int >= 1" if isinstance(n, (bool, float))
+               else "n must be >= 1, got %d" % n)
     for left, right in [((), ()), ((1,), (2, 1)), ((2, 2), ())]:
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match=message):
             classify_monomial(n, left, right)
     # in_L(-1, (2, 2)) was True and decompose_word(-1, (1, 2)) a split; at
     # n = 0 they divided by zero
-    for call, w in ((in_L, (2, 2)), (in_L, (1,)), (in_K, (2, 2)), (in_K, (1,)),
+    for call, w in ((in_L, (2, 2)), (in_L, (1,)), (in_L, (2,)), (in_K, (2, 2)), (in_K, (1,)),
                     (decompose_word, (1, 2)), (decompose_word, (2, 2))):
-        with pytest.raises(ValueError, match="n must be >= 1, got %d" % n):
+        with pytest.raises(ValueError, match=message):
             call(n, w)
     for e in (zero(O2), unit(O2), mono(O2, (2, 1), (1,), 3)):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            decompose_element(n, e)
+        for call in (decompose_element, state_omega):
+            with pytest.raises(ValueError, match=message):
+                call(n, e)
 
 
 def test_coherent_family_checks():

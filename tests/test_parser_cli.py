@@ -21,6 +21,7 @@ from cuntzlim.verify import (
     verify_decomposition,
     verify_inverse_system,
     verify_state,
+    verify_uhf,
 )
 
 O2 = O(2)
@@ -287,6 +288,29 @@ def test_cli_verify_refuses_sizes_past_the_suite_bounds():
             call(size + 1)
     with pytest.raises(ValueError, match="runs up to max-len %d" % DECOMPOSITION_MAX_LEN):
         verify_decomposition(1, DECOMPOSITION_MAX_LEN + 1)
+    # so is a size that is not an int or is below the least one: verify_state(2.5)
+    # and verify_inverse_system(3.0) raised TypeError, verify_decomposition(True, 2)
+    # ran for n = 1
+    for call, args, message in (
+            (verify_inverse_system, (3.0,), "max must be an int >= 1"),
+            (verify_inverse_system, (True,), "max must be an int >= 1"),
+            (verify_inverse_system, (0,), "max must be >= 1, got 0"),
+            (verify_state, (2.5,), "max must be an int >= 1"),
+            (verify_state, (True,), "max must be an int >= 1"),
+            (verify_state, (0,), "max must be >= 1, got 0"),
+            (verify_state, (2, 2.5), "samples must be an int >= 0"),
+            (verify_state, (2, -1), "samples must be >= 0, got -1"),
+            (verify_decomposition, (True, 2), "n must be an int >= 1"),
+            (verify_decomposition, (2.0, 2), "n must be an int >= 1"),
+            (verify_decomposition, (0, 2), "n must be >= 1, got 0"),
+            (verify_decomposition, (2, 2.0), "max-len must be an int >= 0"),
+            (verify_decomposition, (2, True), "max-len must be an int >= 0"),
+            (verify_decomposition, (2, -1), "max-len must be >= 0, got -1"),
+            (verify_uhf, (2.0, 3), "r must be an int >= 2"),
+            (verify_uhf, (2, True), "depth must be an int >= 2"),
+            (verify_uhf, (2, 1), "depth must be >= 2, got 1")):
+        with pytest.raises(ValueError, match="^" + message):
+            call(*args)
     # the CLI defaults (24, 12, 8) and criterion 6's length 8 stay inside
     ap = build_parser()
     assert ap.parse_args(["verify", "inverse-system"]).max == 24 <= INVERSE_SYSTEM_MAX
@@ -307,7 +331,7 @@ def test_cli_profinite_report_refuses_depths_past_the_bound():
 def test_cli_profinite_report_refuses_depth_below_one():
     proc = run_process("profinite", "report", "--depth", "0", "--bound", "5", timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: depth must be >= 1\n"
+    assert proc.stderr == "error: depth must be >= 1, got 0\n"
 
 
 def test_cli_profinite_report_validates_p_bound_and_precision():

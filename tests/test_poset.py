@@ -16,6 +16,9 @@ from cuntzlim.poset import POSET_MAX
 
 from oracle import divisibility_pairs, embeddability_pairs
 
+# what a poset element that is not a positive int is refused with
+POSITIVE = "poset element must be (an int )?>= 1"
+
 
 def test_leq_is_divisibility_with_top():
     assert leq(3, 12) and not leq(3, 10)
@@ -29,7 +32,7 @@ def test_leq_and_join_require_positive_integers():
     for n, m in ((2.0, 4), (5, math.inf), (math.inf, 5), (0, 3), (3, -6),
                  (True, 2), (2, True)):
         for op in (leq, join):
-            with pytest.raises(ValueError, match="poset elements must be positive integers"):
+            with pytest.raises(ValueError, match=POSITIVE):
                 op(n, m)
 
 
@@ -63,7 +66,7 @@ def test_chain_requires_strict_divisibility():
 def test_chain_requires_positive_integers():
     # a lone element is checked too, and 1.5 divides 3 as a float
     for elems in ((0,), (-3,), (1.5, 3), (1, math.inf), (True, 2), (True,)):
-        with pytest.raises(ValueError, match="poset elements must be positive integers"):
+        with pytest.raises(ValueError, match=POSITIVE):
             Chain(elems)
 
 
@@ -72,7 +75,7 @@ def test_cofinal_chain_requires_positive_integers():
     # Chain((0,)); math.lcm would refuse 2.5 with a TypeError; elements past
     # the length are not read
     for enum in ([0, 3], [2, 2.5], [2, math.inf], [True, 2]):
-        with pytest.raises(ValueError, match="poset elements must be positive integers"):
+        with pytest.raises(ValueError, match=POSITIVE):
             cofinal_chain(enum, 2)
     assert list(cofinal_chain([2, 3, 2.5], 2)) == [2, 6]
 
@@ -91,6 +94,10 @@ def test_cofinal_chain_refuses_length_below_one():
     for length in (0, -1):
         with pytest.raises(ValueError, match="length must be >= 1, got %d" % length):
             cofinal_chain([2, 3], length)
+    # a float length sliced the enumeration with a TypeError
+    for length in (2.0, True):
+        with pytest.raises(ValueError, match="length must be an int >= 1"):
+            cofinal_chain([2, 4], length)
     assert list(cofinal_chain([2, 3], 1)) == [2]
 
 
@@ -138,7 +145,7 @@ def test_edges_agree_with_the_pair_loops():
         for reduce in (False, True):
             assert embeddability_edges(top, reduce) == embeddability_pairs(top, reduce)
             assert divisibility_edges(top, reduce) == divisibility_pairs(top, reduce)
-    assert divisibility_edges(0) == divisibility_edges(-3) == []
+    assert divisibility_edges(0) == []
 
 
 def test_edges_refuse_graphs_past_the_bound():
@@ -147,6 +154,22 @@ def test_edges_refuse_graphs_past_the_bound():
         embeddability_edges(POSET_MAX + 2)
     with pytest.raises(ValueError, match="too large"):
         divisibility_edges(10 ** 12, reduce=True)
+
+
+def test_edges_refuse_sizes_that_are_no_graph():
+    # a size below the least graph, O_2 or the empty graph on {1..0}, and a
+    # float or bool size are refused; range(5.5) raised a TypeError
+    for call, size, message in ((divisibility_edges, -1, "max_n must be >= 0, got -1"),
+                                (divisibility_edges, -3, "max_n must be >= 0, got -3"),
+                                (divisibility_edges, 5.5, "max_n must be an int >= 0"),
+                                (divisibility_edges, True, "max_n must be an int >= 0"),
+                                (embeddability_edges, 1, "max_generators must be >= 2, got 1"),
+                                (embeddability_edges, 8.0,
+                                 "max_generators must be an int >= 2"),
+                                (embeddability_edges, True,
+                                 "max_generators must be an int >= 2")):
+        with pytest.raises(ValueError, match=message):
+            call(size)
 
 
 def test_reduced_dot_output_for_eight_generators():

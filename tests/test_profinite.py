@@ -165,19 +165,33 @@ def test_discontinuity_report_default_digits_all_determined():
 
 
 def test_discontinuity_report_validates_p_and_bound():
-    for p, depth in ((4, 9), (9, 9), (1, 9), (0, 9), (5, 3), (11, 9), (10 ** 100, 9)):
+    for p, depth in ((4, 9), (9, 9), (5, 3), (11, 9), (10 ** 100, 9)):
         with pytest.raises(ValueError, match="need a prime p <= depth"):
             discontinuity_report(depth, 10, p=p)
-    with pytest.raises(ValueError, match="bound must be >= 0"):
+    for p in (1, 0):
+        with pytest.raises(ValueError, match="p must be >= 2, got %d" % p):
+            discontinuity_report(9, 10, p=p)
+    for p in (2.0, True):
+        with pytest.raises(ValueError, match="p must be an int >= 2"):
+            discontinuity_report(9, 10, p=p)
+    with pytest.raises(ValueError, match="bound must be >= 0, got -5"):
         discontinuity_report(9, -5)
+    # discontinuity_report(3, 1.5) answered for the bound 1.5
+    for bound in (1.5, True):
+        with pytest.raises(ValueError, match="bound must be an int >= 0"):
+            discontinuity_report(3, bound)
     # a precision of 10^8 costs nothing: only v_p((depth+1)!) digits are built
     assert len(discontinuity_report(9, 10, p_precision=10 ** 8).p_digits) == 8
 
 
 def test_discontinuity_report_refuses_depth_below_one():
     for depth in (0, -1):
-        with pytest.raises(ValueError, match=r"^depth must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^depth must be >= 1, got %d$" % depth):
             discontinuity_report(depth, 5)
+    # discontinuity_report(2.0, 1) raised a TypeError
+    for depth in (2.0, True):
+        with pytest.raises(ValueError, match="depth must be an int >= 1"):
+            discontinuity_report(depth, 1)
 
 
 # SHA-256 of to_text() and to_kv() for (depth, bound, p, p_precision), taken
@@ -249,7 +263,10 @@ def test_witness_is_looked_for_64_depths_past_the_requested_one():
 
 def test_discontinuity_report_refuses_precision_below_one():
     for precision in (0, -1):
-        with pytest.raises(ValueError, match="precision >= 1"):
+        with pytest.raises(ValueError, match="p_precision must be >= 1, got %d" % precision):
+            discontinuity_report(9, 10, p_precision=precision)
+    for precision in (2.5, True):
+        with pytest.raises(ValueError, match="p_precision must be an int >= 1"):
             discontinuity_report(9, 10, p_precision=precision)
 
 
