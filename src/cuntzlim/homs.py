@@ -85,6 +85,7 @@ class CodeReport:
 
 
 def validate_prefix_code(words: Iterable[Word], alphabet_size: int) -> CodeReport:
+    check_int("alphabet_size", alphabet_size, 2, HomError)
     ws = [tuple(w) for w in words]
     if not ws:
         raise HomError("empty word set")

@@ -1,7 +1,9 @@
 """Truncated inverse limits over divisibility chains, the word combinatorics
 of L_n in {1, 2}*, the state fixing the first generator, and the direct-sum
-decomposition Q_n = Q_inf + V_n + V_n* of O_2: decompose_element sorts the
-terms of a canonical element into the three parts by their last letters."""
+decomposition Q_n = Q_inf + V_n + V_n* of O_2.  A word in L_n or empty is
+x 2^p with x empty or ending in 1 and n | p: _split_ln reads the trailing
+2-run, raw letters go through O_2's word check, and decompose_element sorts
+the terms of a canonical element into the three parts by their 2-runs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -65,31 +67,28 @@ def psi(chain: Chain, x: Element) -> CoherentFamily:
 # word combinatorics over {1, 2}
 # ---------------------------------------------------------------------------
 
-def _check_sgword(w: Word) -> None:
-    if any(a not in (1, 2) for a in w):
-        raise ValueError("semigroup words use letters 1 and 2 only")
-
-
-def _trailing_two_run(w: Word) -> int:
-    t = 0
-    for a in reversed(w):
-        if a != 2:
-            break
-        t += 1
-    return t
+def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
+    """w as x + (2,)*(a*n) with x empty or ending in 1, read off its
+    trailing 2-run; ValueError if n does not divide the run's length.  The
+    letters of w are checked by the caller."""
+    i = len(w)
+    while i and w[i - 1] == 2:
+        i -= 1
+    t = len(w) - i
+    if t % n:
+        raise ValueError("word %r is not in L_%d" % (w, n))
+    return w[:i], t // n
 
 
 def in_K(n: int, w: Word) -> bool:
-    """w = (2^n)^k for some k >= 1."""
-    check_int("n", n, 1, ValueError)
-    _check_sgword(w)
-    return len(w) > 0 and all(a == 2 for a in w) and len(w) % n == 0
+    """w = (2^n)^k for some k >= 1: a word of L_n that is its 2-run."""
+    return in_L(n, w) and not _split_ln(n, w)[0]
 
 
 def in_L_inf(w: Word) -> bool:
     """Words ending in the letter 1 (products of blocks 2^m 1)."""
-    _check_sgword(w)
-    return len(w) > 0 and w[-1] == 1
+    O2.check_word(w)
+    return len(w) > 0 and _split_ln(1, w)[1] == 0
 
 
 def in_L(n: int, w: Word) -> bool:
@@ -97,8 +96,12 @@ def in_L(n: int, w: Word) -> bool:
     2-run before a 1 splits greedily, so membership reduces to the trailing
     2-run having length divisible by n."""
     check_int("n", n, 1, ValueError)
-    _check_sgword(w)
-    return len(w) > 0 and _trailing_two_run(w) % n == 0
+    O2.check_word(w)
+    try:
+        _split_ln(n, w)
+    except ValueError:
+        return False
+    return len(w) > 0
 
 
 def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
@@ -107,6 +110,7 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
     Returns ("L_inf", None) or ("Y", (x, u)) with w = x + u, u a 2-run."""
     check_int("n", n, 1, ValueError)
     w = tuple(w)
+    O2.check_word(w)
     if not w:
         raise ValueError("word () is not in L_%d" % n)
     x, a = _split_ln(n, w)
@@ -117,41 +121,17 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
 # decomposition Q_n = Q_inf + V_n + V_n*
 # ---------------------------------------------------------------------------
 
-def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
-    """Write w in L_n or empty as x + (2,)*(a*n) with x in L_inf or empty."""
-    w = tuple(w)
-    _check_sgword(w)
-    t = _trailing_two_run(w)
-    if t % n:
-        raise ValueError("word %r is not in L_%d" % (w, n))
-    return w[: len(w) - t], t // n
-
-
-# the shape predicates read the words of a canonical O_2 element whose
-# words are in L_n or empty: such a word is empty or in L_inf iff it does
-# not end in 2, and it is so once its maximal trailing 2-run is cut off
-def is_q_inf_shape(left: Word, right: Word) -> bool:
-    return left[-1:] != (2,) and right[-1:] != (2,)
-
-
-def is_v_shape(n: int, left: Word, right: Word) -> bool:
-    t = _trailing_two_run(left)
-    return right[-1:] != (2,) and t > 0 and t % n == 0
-
-
-def is_vstar_shape(n: int, left: Word, right: Word) -> bool:
-    return is_v_shape(n, right, left)
-
-
 def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element, Element]:
     """Decompose the monomial s_left s_right* (words in L_n or empty) into
     its (Q_inf, V_n, V_n*) parts; the parts sum back to the input.  The raw
-    words are checked here; the canonical form of a mixed monomial
-    x 2^(an) (y 2^(bn))* is already split by the Leavitt rewrite."""
+    words go through the word check of O_2 and are checked to be in L_n or
+    empty; the canonical form of a mixed monomial x 2^(an) (y 2^(bn))* is
+    already split by the Leavitt rewrite."""
     check_int("n", n, 1, ValueError)
     left, right = tuple(left), tuple(right)
-    _split_ln(n, left)
-    _split_ln(n, right)
+    for w in (left, right):
+        O2.check_word(w)
+        _split_ln(n, w)
     return decompose_element(n, Element(O2, [((left, right), ONE)]))
 
 
@@ -159,16 +139,15 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     """Partition of the terms of e (words in L_n or empty) into its
     (Q_inf, V_n, V_n*) parts, one Element each; sums to e.  A term goes to
     V_n if its left word ends in 2, to V_n* if its right word does and to
-    Q_inf otherwise: a canonical O_2 term never has both words ending in 2."""
+    Q_inf otherwise: a canonical O_2 term never has both words ending in 2,
+    so the right word is read only when the left one ends in 1 or is empty."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
     check_int("n", n, 1, ValueError)
     parts = ([], [], [])
     for key, c in e.terms.items():
         l, r = key
-        w, k = (l, 1) if l[-1:] == (2,) else (r, 2) if r[-1:] == (2,) else ((), 0)
-        if _trailing_two_run(w) % n:
-            raise ValueError("word %r is not in L_%d" % (w, n))
+        k = 1 if _split_ln(n, l)[1] else 2 if _split_ln(n, r)[1] else 0
         parts[k].append((key, c))
     return tuple(Element(O2, pairs) for pairs in parts)
 

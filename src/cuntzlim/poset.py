@@ -2,9 +2,10 @@
 embeddability graph between Cuntz algebras."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .algebra import check_int
 
@@ -54,12 +55,13 @@ class Chain:
         return self.elements[i]
 
 
-def cofinal_chain(enumeration: Sequence[int], length: int) -> Chain:
+def cofinal_chain(enumeration: Iterable[int], length: int) -> Chain:
     """Totally ordered cofinal subsequence: y_1 = x_1 and y_k = lcm(y_{k-1}, x_k).
 
-    Every enumerated x_i with i <= length divides some chain element."""
+    Every enumerated x_i with i <= length divides some chain element; the
+    enumeration is read no further than x_length."""
     check_int("chain length", length, 1, ValueError)
-    xs = list(enumeration)[:length]
+    xs = list(itertools.islice(enumeration, length))
     if not xs:
         raise ValueError("empty enumeration")
     ys: List[int] = []

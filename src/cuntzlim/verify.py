@@ -14,10 +14,6 @@ from .limits import (
     CoherentFamily,
     check_coherent,
     decompose_element,
-    in_L,
-    is_q_inf_shape,
-    is_v_shape,
-    is_vstar_shape,
     psi,
     state_omega,
 )
@@ -95,22 +91,36 @@ def verify_psi(chain: Chain, expr: Element, corrupt: bool = False) -> None:
 
 
 def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
-    """Every monomial over L_n words of bounded length splits into parts that
-    sum back and satisfy disjoint shape predicates.  Each monomial is built
-    once, in canonical form, and decomposed.  The words are enumerated over
-    {1, 2}, so each pair is built without a letter check."""
+    """Every monomial s_u s_v* over words in L_n or empty, of length at most
+    max_len, splits into parts that sum back and are exactly the terms of
+    the trailing-run lemma.  With u = x 2^p, v = y 2^q (x, y empty or
+    ending in 1, n | p, n | q) and k = min(p, q),
+
+      s_u s_v* = s_{x 2^(p-k)} s_{y 2^(q-k)}* - sum_{j=1..k} s_{x 2^(p-j) 1} s_{y 2^(q-j) 1}*,
+
+    by induction on k: for k >= 1 both words end in 2, and the Leavitt
+    rewrite s_{J2} s_{K2}* = s_J s_K* - s_{J1} s_{K1}* writes the j = 1
+    term and a monomial with min k - 1.  Every term on the right is in the
+    Leavitt basis, so the head goes to V_n if p > q, to V_n* if q > p and to
+    Q_inf if p = q, and the k sibling terms go to Q_inf with coefficient -1.
+    Each word is built as x 2^p, so the suite knows p and the sibling words
+    without reading the word, and builds each monomial once, without a
+    letter check."""
     check_int("n", n, 1, ValueError)
     _check_size("max-len", max_len, 0, DECOMPOSITION_MAX_LEN)
     tag = O(2)
-    words = [()] + [
-        w
-        for length in range(1, max_len + 1)
+    prefixes = [()] + [
+        w + (1,)
+        for length in range(max_len)
         for w in itertools.product((1, 2), repeat=length)
-        if in_L(n, w)
     ]
-    for l in words:
-        for r in words:
-            e = Element(tag, {(l, r): ONE})
+    words = [(p, x + (2,) * p) for x in prefixes for p in range(0, max_len - len(x) + 1, n)]
+    # u = x 2^p with its sibling words x 2^(p-j) 1, j = 1..p
+    words = [(p, u, [u[:len(u) - j] + (1,) for j in range(1, p + 1)]) for p, u in words]
+    minus_one = -ONE
+    for p, u, u_sibs in words:
+        for q, v, v_sibs in words:
+            e = Element(tag, {(u, v): ONE})
             qp, vp, vsp = decompose_element(n, e)
             if corrupt:
                 vp = vp + unit(tag)
@@ -118,15 +128,16 @@ def verify_decomposition(n: int, max_len: int, corrupt: bool = False) -> None:
                 raise Refuted(
                     "decomposition of %s does not sum back" % render(e)
                 )
-            for (wl, wr) in qp.terms:
-                if not is_q_inf_shape(wl, wr) or is_v_shape(n, wl, wr) or is_vstar_shape(n, wl, wr):
-                    raise Refuted("bad Q_inf part monomial in %s" % render(e))
-            for (wl, wr) in vp.terms:
-                if not is_v_shape(n, wl, wr) or is_q_inf_shape(wl, wr):
-                    raise Refuted("bad V part monomial in %s" % render(e))
-            for (wl, wr) in vsp.terms:
-                if not is_vstar_shape(n, wl, wr) or is_q_inf_shape(wl, wr):
-                    raise Refuted("bad V* part monomial in %s" % render(e))
+            k = min(p, q)
+            want = ({}, {}, {})
+            want[1 if p > q else 2 if q > p else 0][u[:len(u) - k], v[:len(v) - k]] = ONE
+            if k:
+                # zip stops after the k sibling terms
+                want[0].update(dict.fromkeys(zip(u_sibs, v_sibs), minus_one))
+            if (qp.terms, vp.terms, vsp.terms) != want:
+                bad = next(name for name, part, table in zip(("Q_inf", "V", "V*"), (qp, vp, vsp), want)
+                           if part.terms != table)
+                raise Refuted("bad %s part in %s" % (bad, render(e)))
 
 
 def verify_state(max_m: int, samples: int = 500, corrupt: bool = False,

@@ -206,7 +206,13 @@ def test_families_refuse_parameters_that_are_not_ints():
             (DigitMap, (O(4), True, 2), "a must be an int >= 2"),
             (DigitMap, (O(4), 2, 2.0), "length must be an int >= 1"),
             (DigitMap, (O(4), 1, 2), "a must be >= 2, got 1"),
-            (DigitMap, (O(4), 2, 0), "length must be >= 1, got 0")):
+            (DigitMap, (O(4), 2, 0), "length must be >= 1, got 0"),
+            # validate_prefix_code(ws, 2.0) raised TypeError and (ws, True)
+            # reported a Kraft sum over an alphabet of one letter
+            (validate_prefix_code, ([(1,), (2,)], 2.0), "alphabet_size must be an int >= 2"),
+            (validate_prefix_code, ([(1,), (2,)], True), "alphabet_size must be an int >= 2"),
+            (validate_prefix_code, ([(1,), (2,)], None), "alphabet_size must be an int >= 2"),
+            (validate_prefix_code, ([(1,), (2,)], 1), "alphabet_size must be >= 2, got 1")):
         with pytest.raises(HomError, match="^" + message):
             build(*args)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzlim import (
+    AlgebraError,
     Chain,
     CoherentFamily,
     Element,
@@ -33,9 +34,9 @@ from cuntzlim import (
     unit,
     zero,
 )
-from cuntzlim import homs
-from cuntzlim.limits import _trailing_two_run, is_q_inf_shape, is_v_shape, is_vstar_shape
-from cuntzlim.verify import Refuted, verify_psi
+from cuntzlim import algebra, homs, verify
+from cuntzlim.scalars import ZERO
+from cuntzlim.verify import Refuted, verify_decomposition, verify_psi
 
 from oracle import classify_raw, coherent_all_pairs, decompose_by_monomial
 
@@ -102,11 +103,12 @@ def test_decompose_word_rejects_nonmembers():
     with pytest.raises(ValueError):
         decompose_word(2, (2, 2, 2))
     # classify_monomial rejects the same words, and letters other than 1, 2
+    # through the word check of O_2
     for left, right in [((2, 2, 2), ()), ((), (1, 2))]:
         with pytest.raises(ValueError, match="not in L_2"):
             classify_monomial(2, left, right)
     for left, right in [((3, 1), ()), ((1,), (1, 3))]:
-        with pytest.raises(ValueError, match="letters 1 and 2"):
+        with pytest.raises(AlgebraError, match="3 out of range for O_2"):
             classify_monomial(2, left, right)
     # decompose_element reads the trailing 2-run of a canonical term
     for n, left, right in [(2, (2, 2, 2), ()), (2, (1,), (1, 2)), (3, (2, 1, 2, 2), (1,)),
@@ -116,50 +118,20 @@ def test_decompose_word_rejects_nonmembers():
             decompose_element(n, mono(O2, left, right))
 
 
-def test_shape_predicates_disjoint():
-    for n in (2, 3):
-        for l in all_words(6, min_len=0):
-            for r in ((), (1,), (2, 1), (2,) * n):
-                flags = [
-                    is_q_inf_shape(l, r),
-                    is_v_shape(n, l, r),
-                    is_vstar_shape(n, l, r),
-                ]
-                assert sum(flags) <= 1
-
-
-def _letter_checked_in_L_inf(w):
-    if any(a not in (1, 2) for a in w):
-        raise ValueError("semigroup words use letters 1 and 2 only")
-    return len(w) > 0 and w[-1] == 1
-
-
-def _letter_checked_shapes(n, l, r):
-    """The shape predicates as defined with letter-checked L_inf membership."""
-    def q_inf(l, r):
-        return (l == () or _letter_checked_in_L_inf(l)) and (
-            r == () or _letter_checked_in_L_inf(r))
-
-    def v(l, r):
-        if r != () and not _letter_checked_in_L_inf(r):
-            return False
-        t = len(tuple(itertools.takewhile(lambda a: a == 2, reversed(l))))
-        return t > 0 and t % n == 0 and (t == len(l) or _letter_checked_in_L_inf(l[:len(l) - t]))
-
-    return q_inf(l, r), v(l, r), v(r, l)
-
-
-def test_shape_predicates_match_letter_checked_definitions():
-    # every word up to length 8 on each side, against every word up to
-    # length 4 on the other (trailing 2-runs of length n included)
-    words = list(all_words(8, min_len=0))
-    partners = list(all_words(4, min_len=0))
-    for n in (2, 3, 4):
-        for w in words:
-            for p in partners:
-                for l, r in ((w, p), (p, w)):
-                    got = (is_q_inf_shape(l, r), is_v_shape(n, l, r), is_vstar_shape(n, l, r))
-                    assert got == _letter_checked_shapes(n, l, r), (n, l, r)
+@pytest.mark.parametrize("call, args", [
+    (in_L_inf, ((1.0,),)),
+    (in_L, (2, (True, 2, 2))),
+    (in_K, (1, (2.0,))),
+    (decompose_word, (2, (1, 2.0, 2))),
+    (classify_monomial, (1, (2.0,), ())),
+    (classify_monomial, (2, (1,), (True,))),
+], ids=["in_L_inf", "in_L", "in_K", "decompose_word", "classify_left", "classify_right"])
+def test_semigroup_words_refuse_letters_that_are_not_ints(call, args):
+    # 1.0 and True equal 1 and 2.0 equals 2, so a letter test by equality let
+    # them in: in_L_inf((1.0,)) was True and classify_monomial(1, (2.0,), ())
+    # built an O_2 element with the letter 2.0
+    with pytest.raises(AlgebraError, match="generator index must be an int >= 1"):
+        call(*args)
 
 
 def test_range_projection_identity():
@@ -206,12 +178,7 @@ def test_decompose_element_sums_back_and_shapes():
             e = mono(O2, l, r)
             qp, vp, vs = decompose_element(2, e)
             assert equals(qp + vp + vs, e)
-            for (wl, wr) in qp.terms:
-                assert is_q_inf_shape(wl, wr)
-            for (wl, wr) in vp.terms:
-                assert is_v_shape(2, wl, wr)
-            for (wl, wr) in vs.terms:
-                assert is_vstar_shape(2, wl, wr)
+            assert (qp, vp, vs) == decompose_by_monomial(2, e), (l, r)
 
 
 def test_decompose_element_after_sibling_rewrite():
@@ -220,7 +187,7 @@ def test_decompose_element_after_sibling_rewrite():
     qp, vp, vs = decompose_element(2, e)
     assert qp + vp + vs == e
     assert vp.is_zero() and vs.is_zero()
-    assert all(is_q_inf_shape(wl, wr) for (wl, wr) in qp.terms)
+    assert all(w[-1:] != (2,) for key in qp.terms for w in key)
 
 
 def _coefficient(rng):
@@ -258,7 +225,10 @@ def _random_decomposable(rng, n, words):
             if kind == "cancel":
                 # the Leavitt rewrite peels the common trailing 2s one at a
                 # time, each peel writing -c s_{l[:i] 1} s_{r[:j] 1}*
-                i = len(l) - 1 - rng.randrange(min(_trailing_two_run(l), _trailing_two_run(r)))
+                run = 0  # the 2-run both words end in
+                while l[-run - 1:] == r[-run - 1:] == (2,) * (run + 1):
+                    run += 1
+                i = len(l) - 1 - rng.randrange(run)
                 key = (l[:i] + (1,), r[:i + len(r) - len(l)] + (1,))
                 term = term + c * mono(O2, *key)
                 assert key not in term.terms
@@ -297,6 +267,68 @@ def test_decompose_element_negates_no_coefficient(rng, monkeypatch):
     for n, e in cases:
         decompose_element(n, e)
     assert calls == []
+
+
+def _doubled_sibling_normalize(e):
+    """algebra.normalize on O_2 with a wrong Leavitt rewrite, which writes
+    -2c for the sibling term: s_{J2} s_{K2}* = s_J s_K* - 2 s_{J1} s_{K1}*."""
+    terms = e.terms
+    todo = [(l, r) for (l, r) in terms if l[-1:] == r[-1:] == (2,)]
+    while todo:
+        l, r = todo.pop()
+        c = terms.pop((l, r), None)
+        if c is None:
+            continue
+        j, k = l[:-1], r[:-1]
+        for key, d in (((j, k), c), ((j + (1,), k + (1,)), -(c + c))):
+            s = terms.get(key, ZERO) + d
+            if s.is_zero():
+                del terms[key]
+            else:
+                terms[key] = s
+        if j[-1:] == k[-1:] == (2,):
+            todo.append((j, k))
+    return e
+
+
+def test_decomposition_suite_refutes_a_wrong_sibling_rewrite(monkeypatch):
+    # the parts of the wrong canonical form still sum back and still have
+    # the shapes of their parts; only the terms of the lemma tell them apart
+    verify_decomposition(2, 4)
+    monkeypatch.setattr(algebra, "normalize", _doubled_sibling_normalize)
+    assert mono(O2, (2,), (2,)).terms == {((), ()): ONE, ((1,), (1,)): -2 * ONE}
+    with pytest.raises(Refuted, match=re.escape(
+            "bad Q_inf part in I - 2 s1 s1' - 2 s2 s1 s1' s2'")):
+        verify_decomposition(2, 4)
+
+
+def test_decomposition_suite_refutes_swapped_shift_parts(monkeypatch):
+    # parts that sum back but put the head term of s_u s_v* on the wrong side
+    decompose = verify.decompose_element
+
+    def swapped(n, e):
+        qp, vp, vsp = decompose(n, e)
+        return qp, vsp, vp
+
+    monkeypatch.setattr(verify, "decompose_element", swapped)
+    with pytest.raises(Refuted, match=re.escape("bad V part in s2'") + "$"):
+        verify_decomposition(1, 1)
+
+
+def test_decomposition_suite_decomposes_each_monomial_once(monkeypatch):
+    # the suite builds its words as x 2^p; it decomposes the monomials over
+    # {()} + L_n that the letter-by-letter enumeration gives, each once
+    seen = []
+    decompose = verify.decompose_element
+    monkeypatch.setattr(verify, "decompose_element",
+                        lambda n, e: seen.append(e) or decompose(n, e))
+    for n in (1, 2, 3, 4):
+        for max_len in range(7):
+            words = [w for w in all_words(max_len, min_len=0) if w == () or in_L(n, w)]
+            del seen[:]
+            verify_decomposition(n, max_len)
+            assert Counter(seen) == Counter(mono(O2, l, r) for l in words for r in words), \
+                (n, max_len)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.0, True])

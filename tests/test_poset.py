@@ -80,6 +80,20 @@ def test_cofinal_chain_requires_positive_integers():
     assert list(cofinal_chain([2, 3, 2.5], 2)) == [2, 6]
 
 
+def test_cofinal_chain_reads_only_length_elements():
+    # the enumeration was read to its end before the first `length` elements
+    # were taken, so itertools.count(1) never returned
+    read = []
+
+    def counted():
+        for x in range(10 ** 5):
+            read.append(x)
+            yield x + 1
+
+    assert list(cofinal_chain(counted(), 2)) == [1, 2]
+    assert len(read) <= 2
+
+
 def test_cofinal_chain_dominates_enumeration():
     enum = list(range(1, 9))
     ch = cofinal_chain(enum, 8)
