@@ -41,7 +41,10 @@ def _tag(text: str) -> AlgebraTag:
 
 
 def _ints(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError("expected comma-separated integers, got %r" % text) from None
 
 
 _FAMILIES = {"f": (f, 2, "n,m"), "finf": (f_inf, 1, "n"), "q": (q, 2, "r,n")}

@@ -19,10 +19,12 @@ O_{a^L} it is a bijection onto A^L, and compose substitutes codes:
 D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
 
 A WordHom (f_inf, q, identity) keeps one table, generator -> word, filled
-on first use; image(k) is the bare monomial of word(k), built on each call.
-apply sends c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words
-of J's letters: the words form a prefix code, so distinct terms stay
-distinct, and two that meet refute the code with HomError.  f is no word
+on first use while it holds at most IMAGE_WORD_MAX_LEN letters; image(k) is
+the bare monomial of word(k), built on each call.  _word_table sends
+c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words of J's
+letters: the words form a prefix code, so distinct terms stay distinct, and
+two that meet refute the code with HomError.  apply runs the Leavitt rewrite
+on that table, and limits.psi takes f_inf's tables as they are.  f is no word
 hom and multiplies its images out one letter at a time, as every other hom
 does: as a word hom it makes an inverse-system benchmark pass 4-5x faster,
 a timed run then attempts 4-5x the operations, and the benchmark's peak RSS
@@ -31,8 +33,9 @@ grows with them.
 Bounds: a comb word, and every word that apply of a word hom builds, has at
 most IMAGE_WORD_MAX_LEN letters and is refused with HomError before it is
 built; q refuses an r_n of more than Q_MAX_BITS bits.  f_inf(n) is memoised
-per process, at most F_INF_MEMO_SIZE homs, and the word table of a kept hom
-grows with the generators it is asked for.
+per process, at most F_INF_MEMO_SIZE homs, and a word hom keeps a word only
+while its table then holds at most IMAGE_WORD_MAX_LEN letters, counting each
+word as at least one: later words are built on each use.
 """
 from __future__ import annotations
 
@@ -67,7 +70,8 @@ Q_MAX_BITS = 2 ** 16
 # f and f_inf refuse to build a generator's image word longer than
 # IMAGE_WORD_MAX_LEN letters, and apply any longer word of a word hom:
 # generator 10^11 of f_inf(1) would need 10^11 of them, and 300 letters
-# s60000 would need 1.8 * 10^7
+# s60000 would need 1.8 * 10^7; a word hom keeps at most that many letters
+# of words in its table
 IMAGE_WORD_MAX_LEN = 2 ** 16
 # the f_inf memo keeps at most F_INF_MEMO_SIZE homs, one per n
 F_INF_MEMO_SIZE = 64
@@ -195,11 +199,13 @@ def _monomial(tag: AlgebraTag, w: Word) -> Element:
 
 class WordHom(GenHom):
     """A hom that sends each generator to one isometry word, given by a rule
-    k -> Word.  word(k) checks the index, runs the rule the first time
-    generator k is asked for and keeps the word in its one table; image(k)
-    is the bare monomial s_w of that word, built on each call."""
+    k -> Word.  word(k) checks the index and runs the rule the first time
+    generator k is asked for; image(k) is the bare monomial s_w of that
+    word, built on each call.  The one word table keeps a new word while
+    the table then holds at most IMAGE_WORD_MAX_LEN letters, counting each
+    word as at least one letter; a later word is built on each use."""
 
-    __slots__ = ("_words", "_word_rule")
+    __slots__ = ("_words", "_word_rule", "_letters")
 
     def __init__(self, domain: AlgebraTag, codomain: AlgebraTag,
                  rule: Callable[[int], Word]):
@@ -207,12 +213,23 @@ class WordHom(GenHom):
         self.codomain = codomain
         self._words: Dict[int, Word] = {}
         self._word_rule = rule
+        self._letters = 0
+
+    def _build(self, k: int) -> Word:
+        """Run the rule for generator k, not yet in the table, and keep its
+        word while the table stays within its letter budget."""
+        w = self._word_rule(k)
+        size = self._letters + (len(w) or 1)
+        if size <= IMAGE_WORD_MAX_LEN:
+            self._words[k] = w
+            self._letters = size
+        return w
 
     def word(self, k: int) -> Word:
         self.domain.check_index(k)
         w = self._words.get(k)
         if w is None:
-            w = self._words[k] = self._word_rule(k)
+            w = self._build(k)
         return w
 
     def image(self, k: int) -> Element:
@@ -230,14 +247,17 @@ def _concat(h: WordHom, letters: Word) -> Word:
     """The concatenated words of h for the letters, refused with HomError
     before it passes IMAGE_WORD_MAX_LEN letters.  The letters are those of
     an element of h's domain, so their indices are not checked."""
-    words, rule = h._words, h._word_rule
+    words = h._words
     out = []
     for k in letters:
         w = words.get(k)
         if w is None:
-            w = words[k] = rule(k)
+            w = h._build(k)
         if len(out) + len(w) > IMAGE_WORD_MAX_LEN:
-            size = sum(len(h.word(a)) for a in letters)
+            # each distinct word once: a word past the table's budget is
+            # built anew on every use
+            lens = {a: len(h.word(a)) for a in set(letters)}
+            size = sum(lens[a] for a in letters)
             raise HomError("image of a word of %d letters is a word of %d letters,"
                            " past the bound of %d"
                            % (len(letters), size, IMAGE_WORD_MAX_LEN))
@@ -245,24 +265,31 @@ def _concat(h: WordHom, letters: Word) -> Word:
     return tuple(out)
 
 
+def _word_table(h: WordHom, e: Element) -> dict:
+    """The term table that sends each term c s_J s_K* of e, an element of
+    h's domain, to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words of J's
+    letters, each word bounded by IMAGE_WORD_MAX_LEN.  The words of a hom
+    form a prefix code, so J -> w(J) is one-to-one and the terms of e map to
+    distinct keys with their nonzero coefficients; two terms that meet
+    refute the prefix code with HomError.  The keys are not rewritten into
+    the Leavitt basis."""
+    table = {(_concat(h, l), _concat(h, r)): c for (l, r), c in e.terms.items()}
+    if len(table) < len(e.terms):
+        raise HomError("word hom %s -> %s maps two terms to one: its words are"
+                       " not a prefix code" % (h.domain, h.codomain))
+    return table
+
+
 def apply(h: GenHom, e: Element) -> Element:
-    """h(e).  A word hom sends c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the
-    concatenated words of J's letters, bounded by IMAGE_WORD_MAX_LEN.  The
-    words of a hom form a prefix code, so J -> w(J) is one-to-one and the
-    terms of e map to distinct terms with their nonzero coefficients: the
-    image table is built in one dict, and two terms that meet refute the
-    prefix code with HomError.  Only a word ending in the codomain's last
-    letter can break the Leavitt basis (a DigitMap's can, f_inf's never
-    do), so normalize rewrites that table in place.  Any other hom
-    multiplies out the generator images of each term."""
+    """h(e).  A word hom builds its image table with _word_table.  Only a
+    word ending in the codomain's last letter can break the Leavitt basis
+    (a DigitMap's can, f_inf's never do), so normalize rewrites that table
+    in place.  Any other hom multiplies out the generator images of each
+    term."""
     if e.tag != h.domain:
         raise AlgebraError("algebra mismatch: %s vs hom domain %s" % (e.tag, h.domain))
     if isinstance(h, WordHom):
-        table = {(_concat(h, l), _concat(h, r)): c for (l, r), c in e.terms.items()}
-        if len(table) < len(e.terms):
-            raise HomError("word hom %s -> %s maps two terms to one: its words are"
-                           " not a prefix code" % (h.domain, h.codomain))
-        return normalize(_trusted(h.codomain, table))
+        return normalize(_trusted(h.codomain, _word_table(h, e)))
     one = unit(h.codomain)
     pairs = []
     for (l, r), c in e.terms.items():
@@ -397,9 +424,9 @@ def f_inf(n: int) -> WordHom:
     """The embedding O_inf -> R_n: generator l*n+i -> (s_{n+1})^l s_i.
 
     Memoised: every call with the same n returns the same WordHom, whose
-    words are built once.  At most F_INF_MEMO_SIZE homs are kept, each word
-    of at most IMAGE_WORD_MAX_LEN letters.  n is checked before the memo is
-    consulted, so a refused n is never cached."""
+    kept words are built once.  At most F_INF_MEMO_SIZE homs are kept, each
+    with a word table of at most IMAGE_WORD_MAX_LEN letters.  n is checked
+    before the memo is consulted, so a refused n is never cached."""
     check_int("n", n, 1, HomError)
     return _f_inf(n)
 

@@ -174,6 +174,26 @@ def test_f_inf_memo_is_bounded():
     assert f_inf(2 * top) is f_inf(2 * top)
 
 
+def test_f_inf_memo_holds_a_bounded_word_table():
+    # f_inf(1)'s word for s_k has k letters: a kept hom keeps words only up
+    # to IMAGE_WORD_MAX_LEN letters in all, and builds later ones on each use
+    import tracemalloc
+
+    homs._f_inf.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(1, 2001):
+            psi(Chain((1, 2)), gen(O_INF, k))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20
+    for n in (1, 2):
+        words = f_inf(n)._words
+        assert sum(len(w) or 1 for w in words.values()) <= IMAGE_WORD_MAX_LEN
+        assert 2000 not in words and f_inf(n).word(2000) == homs._comb_word(n, None, 2000)
+
+
 def test_f_inf_refusals_are_never_cached():
     for _ in range(2):
         with pytest.raises(HomError, match="n must be >= 1, got 0"):
@@ -618,6 +638,25 @@ def test_word_apply_bounds_every_word_it_builds():
     assert apply(d, gen(O(2), 2)) == mono(O(2), (1,) * (top // 2) + (2,))
     with pytest.raises(HomError, match="past the bound"):
         apply(d, mono(O(2), (1, 2)))
+
+
+def test_word_apply_refusal_builds_each_distinct_word_once():
+    # with the table's letter budget spent, a word is built anew on each
+    # use; the refusal still builds each distinct word of the term once for
+    # its message, not once per letter
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return (2,) * (k - 1) + (1,)
+
+    h = homs.WordHom(O_INF, O(2), rule)
+    h.word(IMAGE_WORD_MAX_LEN)
+    del calls[:]
+    with pytest.raises(HomError, match="is a word of 18000000 letters"):
+        apply(h, mono(O_INF, (60000,) * 300))
+    # two builds before the bound is passed, one for the message
+    assert calls == [60000] * 3 and 60000 not in h._words
 
 
 def test_word_apply_refuses_words_that_are_no_prefix_code():

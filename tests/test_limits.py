@@ -363,6 +363,40 @@ def test_coherent_family_checks():
     assert not check_coherent(CoherentFamily(ch, tuple(entries)))
 
 
+def test_coherent_family_keeps_its_entries_when_the_callers_list_changes():
+    # the family reads its entries into a tuple: replacing an item of the
+    # caller's list afterwards leaves the checked family as it was
+    ch = Chain((1, 2))
+    entries = list(psi(ch, gen(O_INF, 1)).entries)
+    fam = CoherentFamily(ch, entries)
+    entries[1] = gen(O(2), 1)
+    assert fam.entries[1].tag == O(3) and check_coherent(fam)
+    with pytest.raises(AlgebraError, match="must live in O_3"):
+        CoherentFamily(ch, tuple(entries))
+
+
+def test_coherent_family_from_a_list_is_hashable():
+    ch = Chain((1, 2))
+    entries = psi(ch, gen(O_INF, 1)).entries
+    assert hash(CoherentFamily(ch, list(entries))) == hash(CoherentFamily(ch, entries))
+
+
+def test_coherent_family_from_a_list_equals_the_one_from_a_tuple():
+    ch = Chain((1, 2))
+    entries = psi(ch, gen(O_INF, 1)).entries
+    assert CoherentFamily(ch, list(entries)) == CoherentFamily(ch, entries)
+    assert not CoherentFamily(ch, list(entries)) != CoherentFamily(ch, entries)
+
+
+def test_coherent_family_reads_a_generator_of_entries():
+    ch = Chain((1, 2, 4))
+    entries = psi(ch, mono(O_INF, (2,), (5,))).entries
+    fam = CoherentFamily(ch, (e for e in entries))
+    assert fam.entries == entries and check_coherent(fam)
+    with pytest.raises(ValueError, match="one entry per chain element"):
+        CoherentFamily(ch, (e for e in entries[:2]))
+
+
 def _psi_chains():
     """Chains of 2 to 4 elements from 1, 2, 3, 4 or 6, each step a factor 2
     or 3, up to 24: the chains of the benchmark's psi requests."""
@@ -501,7 +535,7 @@ def test_psi_and_coherence_run_no_constructor(monkeypatch, rng):
                           st.lists(st.integers(1, 30), max_size=4),
                           st.fractions(-3, 3, max_denominator=4)), max_size=6))
 def test_psi_entries_are_canonical_tables(ch, triples):
-    # apply builds each entry's table in one dict; the constructor, which
+    # psi builds each entry's table in one dict; the constructor, which
     # combines, drops zeros and rewrites, leaves it unchanged
     x = Element(O_INF, [((tuple(l), tuple(r)), c) for l, r, c in triples])
     for entry in psi(ch, x).entries:
@@ -523,6 +557,70 @@ def test_psi_entries_keep_the_terms_of_x(ch, triples):
         assert len(entry.terms) == len(x.terms)
         assert Counter(entry.terms.values()) == Counter(x.terms.values())
         assert all(w[-1:] != (n + 1,) for key in entry.terms for w in key)
+
+
+def _divisibility_chains(top):
+    """Every chain of 2 to 4 elements n_1 | n_2 | ... within top."""
+    chains, frontier = [], [(a,) for a in range(1, top + 1)]
+    while frontier:
+        frontier = [c + (m,) for c in frontier if len(c) < 4
+                    for m in range(2 * c[-1], top + 1, c[-1])]
+        chains += frontier
+    return [Chain(c) for c in chains]
+
+
+def test_psi_entries_equal_the_multiply_path(rng):
+    # the oracle multiplies out f_inf(n)'s generator images, one letter at a
+    # time, and never reads the word table that psi builds its entries from
+    from conftest import random_scalar, random_word
+
+    xs = []
+    for _ in range(200):
+        x = zero(O_INF)
+        for _ in range(rng.randint(0, 4)):
+            x = x + random_scalar(rng) * mono(O_INF, random_word(rng, 30, 3),
+                                              random_word(rng, 30, 3))
+        xs.append(x)
+    chains = _divisibility_chains(24)
+    assert len(chains) == 146
+    want = {}
+    for n in range(1, 25):
+        by_products = homs.GenHom(O_INF, O(n + 1), f_inf(n).image)
+        want[n] = [apply(by_products, x) for x in xs]
+    for ch in chains:
+        for i, x in enumerate(xs):
+            for n, entry in zip(ch, psi(ch, x).entries):
+                assert entry.tag == O(n + 1) and entry.terms == want[n][i].terms
+
+
+def test_psi_runs_no_leavitt_rewrite(monkeypatch):
+    # f_inf's image tables are canonical as built, so psi never calls
+    # normalize; apply of a word hom still does
+    ch, x = Chain((1, 2, 6, 12)), mono(O_INF, (3,), (1,)) + mono(O_INF, (7,), (5,), Fraction(1, 2))
+    want = psi(ch, x)
+
+    def refuse(e):
+        raise AssertionError("normalize called")
+
+    monkeypatch.setattr(homs, "normalize", refuse)
+    monkeypatch.setattr(algebra, "normalize", refuse)
+    assert psi(ch, x) == want and check_coherent(psi(ch, x))
+    with pytest.raises(AssertionError, match="normalize called"):
+        apply(f_inf(2), x)
+
+
+def test_f_inf_words_end_in_a_letter_below_the_top():
+    # the premise of psi's proof: no word of f_inf(n) ends in n + 1
+    for n in range(1, 31):
+        h = f_inf(n)
+        assert all(h.word(k)[-1] <= n for k in range(1, 301))
+
+
+def test_psi_refuses_an_element_outside_O_inf():
+    for x in (gen(O(3), 1), unit(O2)):
+        with pytest.raises(AlgebraError, match="algebra mismatch: %s vs hom domain Oinf"
+                           % x.tag):
+            psi(Chain((1, 2)), x)
 
 
 def test_psi_builds_each_word_once(monkeypatch):

@@ -392,6 +392,15 @@ def test_cli_partition_too_wide_exits_2():
     assert proc.returncode == 2 and "too wide" in proc.stderr and proc.stdout == ""
 
 
+def test_cli_lists_that_are_not_integers(capsys):
+    for argv, text in ((("verify", "psi", "--chain", "1,x", "--expr", "s1"), "1,x"),
+                       (("partition", "--chain", "1,2.5"), "1,2.5"),
+                       (("hom", "apply", "--family", "f", "--args", "1,two", "s1"), "1,two")):
+        assert run(*argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: expected comma-separated integers, got '%s'\n" % text)
+
+
 def test_cli_usage_errors(capsys):
     assert main(["normalize", "--algebra", "O2", "s1 +"]) == 2
     for n in ("0", "-1"):
