@@ -67,7 +67,8 @@ def uhf_chain_check(r: int, depth: int,
     O_{a^L}, a uniform full code and so a valid *-hom, and its push composite
     the DigitMap (r, 2^n) on O_{r^(2^n)}.  The composite's code length L is
     the level's grade scale: a digit map (a, L) multiplies |J| - |K| by L.  A
-    map without a code fails its level.  Depth is bounded by q's Q_MAX_BITS."""
+    map without a code fails its level.  Depth is bounded by Q_MAX_BITS,
+    which q inherits from rn."""
     check_int("r", r, 2, ValueError)
     check_int("depth", depth, 2, ValueError)
     levels = []
@@ -79,7 +80,7 @@ def uhf_chain_check(r: int, depth: int,
         code = step.code
         code_maximal = code is not None and step.domain.ngens == code[0] ** code[1]
         push = step if push is None else compose(push, step, validate=False)
-        member_ok = push.code == (r, 2 ** n) and push.domain.ngens == rn(r, n + 1)
+        member_ok = push.code == (r, 2 ** n) and push.domain.ngens == rn(r, n) ** 2
         scale = push.code[1] if push.code else None
         levels.append(UhfLevelCheck(n, code_maximal, member_ok, scale))
     ok = all(lv.code_maximal and lv.member_ok for lv in levels)

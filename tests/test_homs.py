@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -106,7 +107,9 @@ def test_identity_and_apply():
         assert apply(h, e) == e
 
 
-def test_image_rule_runs_once_per_requested_generator():
+def test_image_rule_runs_on_each_call():
+    # a GenHom keeps nothing: its rule runs, and its image's tag is checked,
+    # on every call; the index is checked before the rule runs
     calls = []
 
     def rule(k):
@@ -116,7 +119,32 @@ def test_image_rule_runs_once_per_requested_generator():
     h = GenHom(O(5), O(2), rule)
     assert h.image(3) == h.image(3) == mono(O(2), (2, 2, 1))
     h.image(1)
-    assert calls == [3, 1]
+    assert calls == [3, 3, 1]
+    for k in (0, 6, 2.0, True):
+        with pytest.raises(AlgebraError):
+            h.image(k)
+    assert calls == [3, 3, 1]
+    wrong = GenHom(O(5), O(2), lambda k: gen(O(3), 1))
+    for _ in range(2):
+        with pytest.raises(HomError, match="image of generator 2 has wrong tag"):
+            wrong.image(2)
+
+
+def test_f_images_hold_no_memory():
+    # the images of f(1, 10^11) held 35.6 MB for k <= 3000 while GenHom
+    # cached every image it built
+    import tracemalloc
+
+    h = f(1, 10 ** 11)
+    tracemalloc.start()
+    try:
+        for k in range(1, 3001):
+            h.image(k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+    assert h.image(3000) == mono(O(2), (2,) * 2999 + (1,))
 
 
 def test_image_sequence_checked():
@@ -239,10 +267,20 @@ def test_families_refuse_parameters_that_are_not_ints():
 
 def test_q_images_and_rn():
     assert rn(2, 1) == 2 and rn(2, 2) == 4 and rn(2, 3) == 16
-    assert rn(3, 2) == 9
+    assert rn(3, 2) == 9 and rn(2, 16) == 2 ** 2 ** 15
     h = q(2, 1)
     assert h.image_words() == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert h.domain == O(4) and h.codomain == O(2)
+
+
+def test_rn_refuses_a_count_past_the_bit_bound_at_once():
+    # rn(2, 28) built a 134,217,729-bit integer in about a second, and each
+    # n doubles it; the bound q had is now rn's, checked before r_n is built
+    for n in (17, 10 ** 6):
+        with pytest.raises(HomError, match="too large"):
+            rn(2, n)
+    with pytest.raises(HomError, match="too large"):
+        q(2, 17)
 
 
 def test_q_validates():
@@ -290,6 +328,16 @@ def test_coded_compose_needs_a_full_outer_domain(r):
     assert comp.code is None
     for k in comp.gens():
         assert comp.image(k) == apply(outer, q(r, 2).image(k))
+
+
+def test_prefix_code_validation_checks_its_letters():
+    # each of these read as a maximal code, or (True,) as a duplicate of (1,)
+    for ws, message in (([(1,), (5,)], "generator index 5 out of range for O_2"),
+                        ([(1,), (0,)], "generator index must be >= 1, got 0"),
+                        ([(1,), (2.0,)], "generator index must be an int >= 1, got 2.0"),
+                        ([(1,), (True,)], "generator index must be an int >= 1, got True")):
+        with pytest.raises(AlgebraError, match="^" + re.escape(message)):
+            validate_prefix_code(ws, 2)
 
 
 def test_prefix_code_validation():
@@ -657,6 +705,25 @@ def test_word_apply_refusal_builds_each_distinct_word_once():
         apply(h, mono(O_INF, (60000,) * 300))
     # two builds before the bound is passed, one for the message
     assert calls == [60000] * 3 and 60000 not in h._words
+
+
+def test_multiplied_apply_refuses_words_past_the_bound():
+    # f is no word hom: apply multiplies its images out, and 300 letters
+    # s60000 under f(1, 10^11) ran for 38 s and printed 43 MB for 240 of
+    # them; it stops at the first product past the bound
+    h = f(1, 10 ** 11)
+    with pytest.raises(HomError, match="builds a word of 120000 letters, past the bound of %d"
+                       % IMAGE_WORD_MAX_LEN):
+        apply(h, mono(O(10 ** 11 + 1), (60000,) * 300))
+    with pytest.raises(HomError, match="past the bound"):
+        apply(h, mono(O(10 ** 11 + 1), (), (60000,) * 2))
+    # s_32768 goes to a word of 2^15 letters: two of them make a word of
+    # exactly IMAGE_WORD_MAX_LEN letters, which is applied, and one letter
+    # more is refused
+    half = (2,) * 32767 + (1,)
+    assert apply(h, mono(O(10 ** 11 + 1), (32768,) * 2)) == mono(O(2), half * 2)
+    with pytest.raises(HomError, match="builds a word of 65537 letters"):
+        apply(h, mono(O(10 ** 11 + 1), (32768, 32769)))
 
 
 def test_word_apply_refuses_words_that_are_no_prefix_code():

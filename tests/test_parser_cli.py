@@ -459,6 +459,8 @@ def test_cli_huge_image_words_exit_2():
     long_product = " ".join(["s60000"] * 300)
     for argv, message in (
             (("hom", "apply", "--family", "finf", "--args", "1", long_product), bound),
+            # f multiplies its images out: 240 letters ran for 38 s
+            (("hom", "apply", "--family", "f", "--args", "1,100000000000", long_product), bound),
             (("verify", "psi", "--chain", "1,2", "--expr", long_product), bound),
             (("hom", "apply", "--family", "finf", "--args", "1", "s100000000000"), bound),
             (("verify", "psi", "--chain", "1,2", "--expr", "s100000000000"), bound),
