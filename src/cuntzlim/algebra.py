@@ -10,6 +10,11 @@ O_inf the reduced monomials themselves are linearly independent.  Equal
 elements therefore have equal term tables, so `equals`, `==` and `hash`
 agree.  All operations are pure; elements are immutable by convention (term
 tables are never mutated after construction).
+The Element constructor combines like terms, drops zeros and rewrites into
+the basis.  A one-to-one map of a canonical table onto a canonical table (a
+key swap in adjoint, scaling by a nonzero scalar, a partition in
+limits.decompose_element) skips it and wraps its table with _trusted; add
+does not, because two tables can meet and cancel.
 Words are checked where they enter, by `mono`, `gen` and `parser.parse`;
 `Element` and the operations build only from checked words and trust them.
 Every parameter of the library (a generator index or count, n and m of
@@ -87,7 +92,11 @@ class Element:
     The constructor is the one place where like terms combine and the
     canonical form is reached (see normalize); the term table never stores
     zero coefficients.  It trusts its words: input from outside goes
-    through `mono`, `gen` or `parser.parse`, which check them.
+    through `mono`, `gen` or `parser.parse`, which check them.  A map that
+    sends a canonical table one-to-one onto a canonical table (adjoint,
+    scale by a nonzero scalar, a partition of the terms) has nothing to
+    combine or rewrite and skips the constructor; add merges two tables and
+    does not.
     """
 
     __slots__ = ("tag", "terms")
@@ -120,13 +129,21 @@ class Element:
 
     # -- convenience operators (all delegate to module functions) --
     def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         return add(self, other)
 
     def __sub__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         return add(self, scale(-ONE, other))
 
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
+    def __mul__(self, other: Union["Element", Rationalish]) -> "Element":
+        # scalars are central, so e * c is c * e; scale refuses with
+        # TypeError an operand that is neither an Element nor a scalar
+        if isinstance(other, Element):
+            return multiply(self, other)
+        return scale(other, self)
 
     def __rmul__(self, c: Rationalish) -> "Element":
         return scale(c, self)
@@ -159,7 +176,10 @@ def _trusted(tag: AlgebraTag, table: dict) -> Element:
     """The element whose term table is `table`, taken as it is: no combining,
     no zero check and no Leavitt rewrite.  The caller proves that the keys
     are canonical, or runs normalize on the result before it is read, and
-    that every value is a nonzero GaussianRational."""
+    that every value is a nonzero GaussianRational.  The callers, each with
+    its proof in its docstring, are adjoint, scale, homs._monomial,
+    homs.apply, homs.f_preimage, limits.psi and limits.decompose_element;
+    tests/test_trusted.py refuses any other."""
     e = Element.__new__(Element)
     e.tag = tag
     e.terms = table
@@ -219,7 +239,12 @@ def multiply(a: Element, b: Element) -> Element:
 
 
 def adjoint(e: Element) -> Element:
-    return Element(e.tag, (((r, l), c.conjugate()) for (l, r), c in e.terms.items()))
+    """e*: each term c s_J s_K* becomes conj(c) s_K s_J*, and the table is
+    taken as it is.  Swapping J and K keeps "J and K do not both end in n",
+    so a canonical key stays canonical (over O_inf every reduced monomial
+    is canonical).  The swap is a bijection on keys, so no two terms meet,
+    and the conjugate of a nonzero scalar is nonzero."""
+    return _trusted(e.tag, {(r, l): c.conjugate() for (l, r), c in e.terms.items()})
 
 
 def add(a: Element, b: Element) -> Element:
@@ -228,8 +253,13 @@ def add(a: Element, b: Element) -> Element:
 
 
 def scale(c: Rationalish, e: Element) -> Element:
+    """c e.  For c != 0 the table is taken as it is: the keys do not move,
+    and a product of two nonzero Gaussian rationals is nonzero, since Q(i)
+    is a field.  For c = 0 it is the zero element."""
     c = GaussianRational.of(c)
-    return Element(e.tag, ((k, c * v) for k, v in e.terms.items()))
+    if c.is_zero():
+        return zero(e.tag)
+    return _trusted(e.tag, {k: c * v for k, v in e.terms.items()})
 
 
 def normalize(e: Element) -> Element:

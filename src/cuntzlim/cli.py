@@ -82,10 +82,15 @@ def _cmd_hom_apply(args) -> int:
 
 
 def _emit(text: str, out: Optional[str]) -> int:
-    """Write text to the file out, or to stdout when out is not given."""
+    """Write text to the file out, or to stdout when out is not given.  A
+    file that cannot be written (a missing directory, a directory) is a
+    usage error: ValueError with the path and the OS reason."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s" % (out, exc.strerror)) from None
         print("wrote %s" % out)
     else:
         sys.stdout.write(text)

@@ -163,16 +163,20 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     (Q_inf, V_n, V_n*) parts, one Element each; sums to e.  A term goes to
     V_n if its left word ends in 2, to V_n* if its right word does and to
     Q_inf otherwise: a canonical O_2 term never has both words ending in 2,
-    so the right word is read only when the left one ends in 1 or is empty."""
+    so the right word is read only when the left one ends in 1 or is empty.
+
+    Each part's table is taken as it is: a partition keeps every key and
+    coefficient of e as they are, so a part's keys are canonical, distinct
+    and have nonzero coefficients.  Each part is a new dict, not e.terms."""
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
     check_int("n", n, 1, ValueError)
-    parts = ([], [], [])
+    parts = ({}, {}, {})
     for key, c in e.terms.items():
         l, r = key
         k = 1 if _split_ln(n, l)[1] else 2 if _split_ln(n, r)[1] else 0
-        parts[k].append((key, c))
-    return tuple(Element(O2, pairs) for pairs in parts)
+        parts[k][key] = c
+    return tuple(_trusted(O2, table) for table in parts)
 
 
 # ---------------------------------------------------------------------------

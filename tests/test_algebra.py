@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cuntzlim import (
@@ -5,6 +7,7 @@ from cuntzlim import (
     AlgebraError,
     AlgebraTag,
     Element,
+    GaussianRational,
     O,
     O_INF,
     equals,
@@ -14,11 +17,13 @@ from cuntzlim import (
     unit,
     zero,
 )
+from cuntzlim import algebra
 from cuntzlim.algebra import add, adjoint, multiply, scale
 from cuntzlim.homs import apply, f
 from cuntzlim.limits import decompose_element
 from cuntzlim.verify import verify_decomposition
 
+from conftest import random_element, random_scalar
 from oracle import expansion_equal
 
 
@@ -175,3 +180,61 @@ def test_mixed_algebra_operations_rejected():
 def test_zero_coefficients_dropped():
     e = mono(O2, (1,), ()) - mono(O2, (1,), ())
     assert e.is_zero() and e.terms == {}
+
+
+def _nonzero_scalar(rng):
+    while True:
+        c = random_scalar(rng)
+        if not c.is_zero():
+            return c
+
+
+def test_adjoint_and_scale_agree_with_the_constructor(rng):
+    # adjoint and scale wrap their tables without the constructor; building
+    # the same pairs through Element, which combines and rewrites, must give
+    # the same table
+    for tag in (O2, O3, O(4), O_INF):
+        for _ in range(75):
+            e = random_element(rng, tag)
+            swapped = [((r, l), c.conjugate()) for (l, r), c in e.terms.items()]
+            assert adjoint(e).terms == Element(tag, swapped).terms, e
+            for c in (_nonzero_scalar(rng), GaussianRational(0, 0)):
+                scaled = [(k, c * v) for k, v in e.terms.items()]
+                assert scale(c, e).terms == Element(tag, scaled).terms, (c, e)
+                assert scale(c, e).tag == tag
+
+
+def test_one_to_one_maps_run_no_rewrite(monkeypatch, rng):
+    # adjoint, scale by a nonzero scalar and decompose_element map a
+    # canonical table one-to-one onto canonical tables, so the constructor
+    # and its Leavitt rewrite never run
+    e = mono(O2, (2, 1), (1,), 3) + mono(O2, (1,), (2, 2), GaussianRational(1, 2)) \
+        + mono(O2, (2, 2), (1, 1)) + unit(O2)
+    x = random_element(rng, O3) + mono(O3, (3, 1), (2,))
+    want = (adjoint(e), adjoint(x), scale(Fraction(-1, 2), x), decompose_element(2, e))
+
+    def refuse(e):
+        raise AssertionError("normalize called")
+
+    monkeypatch.setattr(algebra, "normalize", refuse)
+    with pytest.raises(AssertionError, match="normalize called"):
+        Element(O2, e.terms)
+    got = (adjoint(e), adjoint(x), scale(Fraction(-1, 2), x), decompose_element(2, e))
+    assert got == want
+    assert all(p.terms is not e.terms for p in got[3])
+
+
+def test_scalars_multiply_on_either_side():
+    e = mono(O2, (2, 1), (1,), 3) + gen(O2, 2)
+    for c in (2, Fraction(1, 2), GaussianRational(0, 1)):
+        assert e * c == c * e == scale(c, e)
+    assert e * 0 == 0 * e == zero(O2)
+
+
+@pytest.mark.parametrize("op", [
+    lambda e: e + 1, lambda e: 1 + e, lambda e: e - 1, lambda e: 1 - e,
+    lambda e: e * "x", lambda e: e * 2.0, lambda e: 2.0 * e,
+], ids=["e + 1", "1 + e", "e - 1", "1 - e", "e * 'x'", "e * 2.0", "2.0 * e"])
+def test_operands_that_are_not_elements_or_scalars_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op(mono(O2, (1,), (2,)))

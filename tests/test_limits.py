@@ -681,3 +681,24 @@ def test_state_positivity_on_samples(rng):
         e = random_element(rng, O2)
         val = state_omega(1, e.star() * e)
         assert val.im == 0 and val.re >= 0
+
+
+def test_decompose_element_parts_agree_with_the_constructor(rng):
+    # decompose_element wraps each part's table without the constructor; the
+    # part must equal the Element built from the terms of e that the raw-word
+    # classifier puts in that part.  Keys whose words do not both end in 2
+    # are canonical and hold no sibling set, so the words stay in L_n
+    for n in (1, 2, 3, 4):
+        words = [w for w in all_words(6, min_len=0) if w == () or in_L(n, w)]
+        keys = [(l, r) for l in words for r in words if not l[-1:] == r[-1:] == (2,)]
+        for _ in range(75):
+            pairs = [(key, _coefficient(rng))
+                     for key in rng.sample(keys, rng.randint(0, 6))]
+            e = Element(O2, pairs)
+            assert e.terms == dict(pairs)
+            parts = decompose_element(n, e)
+            for k, part in enumerate(parts):
+                want = [(key, c) for key, c in pairs
+                        if not classify_raw(n, *key)[k].is_zero()]
+                assert part == Element(O2, want), (n, e, k)
+                assert part.terms is not e.terms

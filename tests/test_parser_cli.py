@@ -358,6 +358,25 @@ def test_cli_poset_graph(tmp_path):
     assert '"O7" -> "O4";' in text and '"O8" -> "O2";' in text
 
 
+@pytest.mark.parametrize("argv, path, reason", [
+    (("poset", "graph", "--max", "4"), "missing/x.dot", "No such file or directory"),
+    (("profinite", "report", "--depth", "3", "--bound", "10"), ".", "Is a directory"),
+])
+def test_cli_out_that_cannot_be_written_exits_2(argv, path, reason, capsys,
+                                                tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", path) == (2, "")
+    assert capsys.readouterr().err == "error: cannot write %s: %s\n" % (path, reason)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_out_into_a_missing_directory_exits_2_in_a_process(tmp_path):
+    path = str(tmp_path / "missing" / "graph.dot")
+    proc = run_process("poset", "graph", "--max", "4", "--out", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: cannot write %s: No such file or directory\n" % path
+
+
 def test_cli_profinite_report():
     rc, out = run("profinite", "report", "--depth", "5", "--bound", "100", "--kv")
     assert rc == 0 and "witness_depth=5" in out
