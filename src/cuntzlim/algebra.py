@@ -10,11 +10,13 @@ O_inf the reduced monomials themselves are linearly independent.  Equal
 elements therefore have equal term tables, so `equals`, `==` and `hash`
 agree.  All operations are pure; elements are immutable by convention (term
 tables are never mutated after construction).
-The Element constructor combines like terms, drops zeros and rewrites into
-the basis.  A one-to-one map of a canonical table onto a canonical table (a
-key swap in adjoint, scaling by a nonzero scalar, a partition in
-limits.decompose_element) skips it and wraps its table with _trusted; add
-does not, because two tables can meet and cancel.
+The Element constructor is the one place where that basis is reached: it
+adds like terms and drops zeros with _combine, which normalize's rewrite
+uses too, and then runs normalize.  add, multiply, the parser and apply of
+a word hom build through it.  A one-to-one map of a canonical table onto a
+canonical table (a key swap in adjoint, scaling by a nonzero scalar, a
+partition in limits.decompose_element) skips it and wraps its table with
+_trusted; add does not, because two tables can meet and cancel.
 Words are checked where they enter, by `mono`, `gen` and `parser.parse`;
 `Element` and the operations build only from checked words and trust them.
 Every parameter of the library (a generator index or count, n and m of
@@ -89,9 +91,10 @@ Key = Tuple[Word, Word]  # internal dict key (left, right)
 class Element:
     """Linear combination of basis monomials over a fixed algebra tag.
 
-    The constructor is the one place where like terms combine and the
-    canonical form is reached (see normalize); the term table never stores
-    zero coefficients.  It trusts its words: input from outside goes
+    The constructor is the one place where like terms combine (_combine)
+    and the canonical form is reached (normalize, called by name, so a
+    patched normalize sees every rewrite); the term table never stores zero
+    coefficients.  It trusts its words: input from outside goes
     through `mono`, `gen` or `parser.parse`, which check them.  A map that
     sends a canonical table one-to-one onto a canonical table (adjoint,
     scale by a nonzero scalar, a partition of the terms) has nothing to
@@ -109,19 +112,8 @@ class Element:
         """`terms` maps (left, right) word pairs to coefficients, or is an
         iterable of ((left, right), coefficient) pairs in which a pair may
         repeat."""
-        table = {}
-        for key, c in terms.items() if hasattr(terms, "items") else terms:
-            s = table.get(key)
-            if s is None:
-                s = GaussianRational.of(c)
-            else:
-                s = s + c
-            if s.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = s
         self.tag = tag
-        self.terms = table
+        self.terms = _combine({}, terms.items() if hasattr(terms, "items") else terms)
         normalize(self)
 
     def is_zero(self) -> bool:
@@ -172,14 +164,29 @@ class Element:
         return "<%s: %s>" % (self.tag, render(self))
 
 
+def _combine(table: dict, pairs: Iterable[Tuple[Key, Rationalish]]) -> dict:
+    """Add each (key, coefficient) pair into table, in place, dropping a key
+    whose coefficient sums to zero; returns table.  The one place where like
+    terms combine: Element() builds its table with it and normalize adds its
+    rewrite moves with it."""
+    for key, c in pairs:
+        s = table.get(key)
+        s = GaussianRational.of(c) if s is None else s + c
+        if s.is_zero():
+            table.pop(key, None)
+        else:
+            table[key] = s
+    return table
+
+
 def _trusted(tag: AlgebraTag, table: dict) -> Element:
     """The element whose term table is `table`, taken as it is: no combining,
     no zero check and no Leavitt rewrite.  The caller proves that the keys
-    are canonical, or runs normalize on the result before it is read, and
-    that every value is a nonzero GaussianRational.  The callers, each with
-    its proof in its docstring, are adjoint, scale, homs._monomial,
-    homs.apply, homs.f_preimage, limits.psi and limits.decompose_element;
-    tests/test_trusted.py refuses any other."""
+    are canonical and that every value is a nonzero GaussianRational; a
+    table that may need combining or a rewrite goes through Element().  The
+    callers, each with its proof in its docstring, are adjoint, scale,
+    homs._monomial, homs.f_preimage, limits.psi and
+    limits.decompose_element; tests/test_trusted.py refuses any other."""
     e = Element.__new__(Element)
     e.tag = tag
     e.terms = table
@@ -270,9 +277,9 @@ def normalize(e: Element) -> Element:
     s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}*.
     Only s_J s_K* can need a further rewrite and it is shorter, so the loop
     ends; by the basis theorem the result does not depend on the order of
-    the rewrites.  O_inf has no completeness relation and no rewrite.
-    Element() runs this on every table it builds, so it changes no existing
-    element.
+    the rewrites, which _combine adds into the table.  O_inf has no
+    completeness relation and no rewrite.  Element() runs this on every
+    table it builds, so it changes no existing element.
     """
     n = e.tag.ngens
     if n is None:
@@ -285,14 +292,7 @@ def normalize(e: Element) -> Element:
         if c is None:
             continue
         j, k = l[:-1], r[:-1]
-        moves = [((j, k), c)] + [((j + (i,), k + (i,)), -c) for i in range(1, n)]
-        for key, d in moves:
-            s = terms.get(key)
-            s = d if s is None else s + d
-            if s.is_zero():
-                del terms[key]
-            else:
-                terms[key] = s
+        _combine(terms, [((j, k), c)] + [((j + (i,), k + (i,)), -c) for i in range(1, n)])
         if j[-1:] == k[-1:] == (n,):
             todo.append((j, k))
     return e

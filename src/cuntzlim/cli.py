@@ -8,6 +8,7 @@ parameters that would check nothing.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional
 
@@ -40,10 +41,20 @@ def _tag(text: str) -> AlgebraTag:
     raise argparse.ArgumentTypeError("algebra must be O<k> (k>=2) or Oinf")
 
 
+def _int(text: str) -> int:
+    """The integer that text spells in ASCII: surrounding spaces, an optional
+    '-', then digits 0-9, the rule _tag applies.  int() alone would also
+    read other Unicode digits and '_' separators."""
+    t = text.strip()
+    if re.fullmatch("-?[0-9]+", t) is None:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    return int(t)
+
+
 def _ints(text: str) -> List[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
+        return [_int(x) for x in text.split(",") if x.strip()]
+    except argparse.ArgumentTypeError:
         raise ValueError("expected comma-separated integers, got %r" % text) from None
 
 
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verification suites")
     vsub = ver.add_subparsers(dest="what", required=True)
     p = vsub.add_parser("inverse-system")
-    p.add_argument("--max", type=int, default=24)
+    p.add_argument("--max", type=_int, default=24)
     p.set_defaults(suite=lambda a: verify_inverse_system(a.max, corrupt=a.corrupt),
                    done=lambda a: "inverse-system law verified up to %d" % a.max)
     p = vsub.add_parser("psi")
@@ -200,18 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
                                               parse(O_INF, a.expr), corrupt=a.corrupt),
                    done=lambda a: "psi image coherent on chain %s" % _ints(a.chain))
     p = vsub.add_parser("decomposition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--max-len", type=_int, default=8)
     p.set_defaults(suite=lambda a: verify_decomposition(a.n, a.max_len, corrupt=a.corrupt),
                    done=lambda a: "decomposition verified for n=%d up to length %d"
                    % (a.n, a.max_len))
     p = vsub.add_parser("uhf")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--depth", type=_int, required=True)
     p.set_defaults(suite=lambda a: verify_uhf(a.r, a.depth, corrupt=a.corrupt),
                    done=lambda a: "uhf chain verified for r=%d depth %d" % (a.r, a.depth))
     p = vsub.add_parser("state")
-    p.add_argument("--max", type=int, default=12)
+    p.add_argument("--max", type=_int, default=12)
     p.set_defaults(suite=lambda a: verify_state(a.max, corrupt=a.corrupt),
                    done=lambda a: "state compatibility verified up to %d" % a.max)
     for p in vsub.choices.values():
@@ -221,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     pos = sub.add_parser("poset", help="divisibility poset outputs")
     psub = pos.add_subparsers(dest="poset_command", required=True)
     p = psub.add_parser("graph", help="embeddability graph in DOT format")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_int, required=True)
     p.add_argument("--out")
     p.add_argument("--reduce", action="store_true",
                    help="emit only covering arrows (Hasse diagram)")
@@ -230,10 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     pro = sub.add_parser("profinite", help="profinite K0 reports")
     prsub = pro.add_subparsers(dest="profinite_command", required=True)
     p = prsub.add_parser("report")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--p-precision", type=int, default=8)
+    p.add_argument("--depth", type=_int, required=True)
+    p.add_argument("--bound", type=_int, required=True)
+    p.add_argument("--p", type=_int, default=2)
+    p.add_argument("--p-precision", type=_int, default=8)
     p.add_argument("--kv", action="store_true", help="machine-readable key/value output")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_profinite_report)

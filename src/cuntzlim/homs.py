@@ -24,11 +24,12 @@ the bare monomial of word(k), built on each call.  _word_table sends
 c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words of J's
 letters: the words form a prefix code, so distinct terms stay distinct, and
 two that meet refute the code with HomError.  apply runs the Leavitt rewrite
-on that table, and limits.psi takes f_inf's tables as they are.  f is no word
-hom and multiplies its images out one letter at a time, as every other hom
-does: as a word hom it makes an inverse-system benchmark pass 5.6x faster
-(0.44 -> 0.079 s), a timed run then attempts that many more operations, and
-the benchmark's peak RSS grows with them.
+on that table, through the Element constructor, and limits.psi takes f_inf's
+tables as they are.  f is no word hom and multiplies its images out one
+letter at a time, as every other hom does: as a word hom it makes an
+inverse-system benchmark pass 5.6x faster (0.44 -> 0.079 s), a timed run
+then attempts that many more operations, and the benchmark's peak RSS grows
+with them.
 
 Bounds: a comb word, and every word that apply builds, has at most
 IMAGE_WORD_MAX_LEN letters: a longer one is refused with HomError, by a word
@@ -59,7 +60,6 @@ from .algebra import (
     check_int,
     equals,
     multiply,
-    normalize,
     unit,
     zero,
 )
@@ -281,16 +281,15 @@ def _word_table(h: WordHom, e: Element) -> dict:
 
 
 def apply(h: GenHom, e: Element) -> Element:
-    """h(e).  A word hom builds its image table with _word_table.  Only a
-    word ending in the codomain's last letter can break the Leavitt basis
-    (a DigitMap's can, f_inf's never do), so normalize rewrites that table
-    in place.  Any other hom multiplies out the generator images of each
-    term, and refuses with HomError as soon as a product has a word past
-    IMAGE_WORD_MAX_LEN letters."""
+    """h(e).  A word hom builds its image table with _word_table, and the
+    Element constructor takes it into the Leavitt basis.  Any other hom
+    multiplies out the generator images of each term, and refuses with
+    HomError as soon as a product has a word past IMAGE_WORD_MAX_LEN
+    letters."""
     if e.tag != h.domain:
         raise AlgebraError("algebra mismatch: %s vs hom domain %s" % (e.tag, h.domain))
     if isinstance(h, WordHom):
-        return normalize(_trusted(h.codomain, _word_table(h, e)))
+        return Element(h.codomain, _word_table(h, e))
     one = unit(h.codomain)
     pairs = []
     for (l, r), c in e.terms.items():

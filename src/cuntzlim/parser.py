@@ -40,7 +40,7 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<gen>s\d+)|(?P<rat>\d+(?:/\d+)?)|(?P<imag>i)|(?P<unit>I)"
+    r"\s*(?:(?P<gen>s[0-9]+)|(?P<rat>[0-9]+(?:/[0-9]+)?)|(?P<imag>i)|(?P<unit>I)"
     r"|(?P<op>[()+\-*']))"
 )
 

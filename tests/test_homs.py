@@ -657,7 +657,7 @@ def test_word_homs_apply_without_products(monkeypatch):
     for h, e, want in cases:
         assert apply(h, e) == want
     with pytest.raises(AssertionError, match="by products"):
-        apply(f(1, 2), gen(O(3), 1))
+        apply(_by_products(f(1, 2)), gen(O(3), 1))
     # generator 65536 of O_inf goes to s2^65535 s1 under f_inf(1)
     fam = psi(Chain((1, 2)), gen(O_INF, 65536))
     ((first, right),) = fam.entries[0].terms

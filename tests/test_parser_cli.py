@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from cuntzlim.verify import (
     DECOMPOSITION_MAX_LEN,
     INVERSE_SYSTEM_MAX,
     STATE_MAX,
+    Refuted,
     verify_decomposition,
     verify_inverse_system,
     verify_state,
@@ -69,6 +71,12 @@ def test_parse_errors():
         with pytest.raises(ParseError, match="zero denominator") as exc:
             parse(O2, bad)
         assert exc.value.pos == pos
+    # only ASCII digits: "s\u0661 + \u0663" read as s1 + 3, "s\U0001d7d9" as s1
+    # and "\u0661/\u0662 s1" as 1/2 s1
+    for bad, char in (("s\u0661 + \u0663", "s"), ("s\U0001d7d9", "s"),
+                      ("\u0661/\u0662 s1", "\u0661"), ("1/\u0662 s1", "/")):
+        with pytest.raises(ParseError, match="unexpected character %r" % char):
+            parse(O(3), bad)
 
 
 def nested(depth):
@@ -265,12 +273,66 @@ def test_cli_verify_corrupt_refutes():
     assert rc == 1 and "REFUTED" in out
     rc, out = run("verify", "state", "--max", "4", "--corrupt")
     assert rc == 1 and "REFUTED" in out
+    # each hook also refutes at its suite's smallest size; the inverse-system
+    # and state hooks mutated nothing below l > m > n and n < m, so those
+    # two printed "verified" and exited 0
+    for argv, text in (
+            (["inverse-system", "--max", "1"],
+             "compose(f(1,1), f(1,1)) != f(1,1) on generator 1: s2 vs s1"),
+            (["state", "--max", "1"],
+             "state mismatch on generator s1 of R_1 under f(1,1): 0 vs 1"),
+            (["decomposition", "--n", "1", "--max-len", "0"], "does not sum back"),
+            (["psi", "--chain", "1,2", "--expr", "0"], "violates coherence"),
+            (["uhf", "--r", "2", "--depth", "2"], "failed at levels [1]")):
+        rc, out = run("verify", *argv, "--corrupt")
+        assert rc == 1 and out.startswith("REFUTED: ") and text in out
     rc, out = run("verify", "decomposition", "--n", "2", "--max-len", "2", "--corrupt")
     assert rc == 1 and "REFUTED" in out
     rc, out = run("verify", "psi", "--chain", "1,2,4", "--expr", "s3 s1'", "--corrupt")
     assert rc == 1 and "REFUTED" in out
     rc, out = run("verify", "uhf", "--r", "2", "--depth", "3", "--corrupt")
     assert rc == 1 and "failed at levels [1, 2]" in out and "forced" not in out
+
+
+def test_corrupt_inverse_system_refutes_at_every_size():
+    for m in (1, 2, 3):
+        with pytest.raises(Refuted, match=re.escape(
+                "compose(f(1,1), f(1,1)) != f(1,1) on generator 1: s2 vs s1")):
+            verify_inverse_system(m, corrupt=True)
+        verify_inverse_system(m)
+
+
+def test_cli_integers_are_ascii(capsys):
+    # int() read any Unicode digit and "_" separators: --max \u0663 verified
+    # up to 3, --max 3_0 up to 30, --chain 1,\u0662 drew [1, 2] and
+    # --args \u0661,\u0662 applied f(1, 2)
+    for argv, text in (
+            (["verify", "state", "--max", "\u0663"], "'\u0663'"),
+            (["verify", "state", "--max", "3_0"], "'3_0'"),
+            (["verify", "inverse-system", "--max", "\U0001d7d9"], "'\U0001d7d9'"),
+            (["verify", "uhf", "--r", "2", "--depth", "+3"], "'+3'"),
+            (["poset", "graph", "--max", "1e3"], "'1e3'"),
+            (["partition", "--chain", "1,\u0662"], "'1,\u0662'"),
+            (["hom", "apply", "--family", "f", "--args", "\u0661,\u0662", "s3"],
+             "'\u0661,\u0662'"),
+            (["verify", "psi", "--chain", "1,2_0", "--expr", "s1"], "'1,2_0'"),
+            (["normalize", "--algebra", "O3", "s\u0661"], "'s'")):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "") and text in err
+    # surrounding spaces and a sign still read, and a negative size still
+    # reaches the suite's own check
+    assert run("verify", "state", "--max", " 2 ") == (
+        0, "state compatibility verified up to 2\n")
+    assert main(["verify", "state", "--max", "-1"]) == 2
+    assert "max must be >= 1, got -1" in capsys.readouterr().err
+    for argv in (["verify", "state", "--max", "3_0"],
+                 ["normalize", "--algebra", "O3", "s\u0661 + \u0663"]):
+        proc = run_process(*argv, timeout=20)
+        assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 def test_cli_verify_refuses_sizes_past_the_suite_bounds():

@@ -12,7 +12,6 @@ ALLOWED = {
     "algebra.adjoint",
     "algebra.scale",
     "homs._monomial",
-    "homs.apply",
     "homs.f_preimage",
     "limits.psi",
     "limits.decompose_element",
