@@ -27,7 +27,7 @@ two that meet refute the code with HomError.  apply runs the Leavitt rewrite
 on that table, through the Element constructor, and limits.psi takes f_inf's
 tables as they are.  f is no word hom and multiplies its images out one
 letter at a time, as every other hom does: as a word hom it makes an
-inverse-system benchmark pass 5.6x faster (0.44 -> 0.079 s), a timed run
+inverse-system benchmark pass 3.9x faster (0.32 -> 0.081 s), a timed run
 then attempts that many more operations, and the benchmark's peak RSS grows
 with them.
 

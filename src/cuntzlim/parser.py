@@ -51,9 +51,16 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if rest == "":
                 break
-            raise ParseError("unexpected character %r" % text[pos:].lstrip()[0], pos)
+            pos = len(text) - len(rest)
+            if rest[0] == "s":
+                # a generator without ASCII digits: blame what follows the s
+                pos += 1
+                if pos == len(text):
+                    raise ParseError("unexpected end of input", pos)
+            raise ParseError("unexpected character %r" % text[pos], pos)
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()

@@ -1,4 +1,15 @@
-"""Exact Gaussian-rational scalars a + b*i with Fraction components."""
+"""Exact Gaussian-rational scalars a + b*i with Fraction components.
+
+Product rule: (a + b i)(c + d i) = (ac - bd) + (ad + bc) i takes four
+Fraction products, but when one factor is real (d = 0, or b = 0) the
+terms with its zero imaginary part vanish and the product is ac + bc i
+(or ac + ad i), two Fraction products.  This is exact, not an
+approximation: Fraction arithmetic has no signed zero and no rounding, so
+x - 0 and x + 0 are x, and the shortcut returns the same parts, hence an
+equal and equally hashed scalar.  Nearly every product on the hom and
+parser paths is by a real coefficient (most often 1), so it halves their
+Fraction multiplications.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -52,6 +63,11 @@ class GaussianRational:
         if not isinstance(other, (GaussianRational, int, Fraction)):
             return NotImplemented
         o = GaussianRational.of(other)
+        # a real factor on either side: two products (see the module docstring)
+        if not o.im:
+            return GaussianRational(self.re * o.re, self.im * o.re)
+        if not self.im:
+            return GaussianRational(self.re * o.re, self.re * o.im)
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,

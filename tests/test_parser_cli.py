@@ -73,10 +73,23 @@ def test_parse_errors():
         assert exc.value.pos == pos
     # only ASCII digits: "s\u0661 + \u0663" read as s1 + 3, "s\U0001d7d9" as s1
     # and "\u0661/\u0662 s1" as 1/2 s1
-    for bad, char in (("s\u0661 + \u0663", "s"), ("s\U0001d7d9", "s"),
+    for bad, char in (("s\u0661 + \u0663", "\u0661"), ("s\U0001d7d9", "\U0001d7d9"),
                       ("\u0661/\u0662 s1", "\u0661"), ("1/\u0662 s1", "/")):
         with pytest.raises(ParseError, match="unexpected character %r" % char):
             parse(O(3), bad)
+
+
+def test_generator_without_ascii_digits_blames_what_follows_the_s(capsys):
+    # the s is a generator's start, so the message names the character after
+    # it, at that character's position, or the end of input
+    for text, message in (
+            ("s\u0661", "unexpected character '\u0661' (at position 1)"),
+            ("s", "unexpected end of input (at position 1)"),
+            ("s\U0001d7d9", "unexpected character '\U0001d7d9' (at position 1)"),
+            ("s1 + s", "unexpected end of input (at position 6)")):
+        assert main(["normalize", "--algebra", "O3", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message and captured.out == ""
 
 
 def nested(depth):
@@ -316,7 +329,7 @@ def test_cli_integers_are_ascii(capsys):
             (["hom", "apply", "--family", "f", "--args", "\u0661,\u0662", "s3"],
              "'\u0661,\u0662'"),
             (["verify", "psi", "--chain", "1,2_0", "--expr", "s1"], "'1,2_0'"),
-            (["normalize", "--algebra", "O3", "s\u0661"], "'s'")):
+            (["normalize", "--algebra", "O3", "s\u0661"], "'\u0661'")):
         try:
             rc = main(argv)
         except SystemExit as exc:

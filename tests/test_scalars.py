@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntzlim import GaussianRational, IMAG, ONE, ZERO, O, mono
 
@@ -68,3 +70,66 @@ def test_non_rational_parts_refused():
     with pytest.raises(TypeError):
         mono(O(2), (1,), (), 0.1)
     assert GaussianRational(True, 0) == ONE
+
+
+def parts(x):
+    """(re, im) of a factor: a scalar's parts, an int or Fraction's value and 0."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def check_product(x, y):
+    for p, q in ((x, y), (y, x)):
+        (a, b), (c, d) = parts(p), parts(q)
+        z, want = p * q, GaussianRational(a * c - b * d, a * d + b * c)
+        assert z == want and hash(z) == hash(want)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    for v in (0.5, -1.0):
+        with pytest.raises(TypeError):
+            x * v
+        with pytest.raises(TypeError):
+            v * x
+
+
+NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+PART = st.one_of(st.just(Fraction(0)), NONZERO)
+SCALAR = st.builds(GaussianRational, PART, PART)
+REAL = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCALAR, st.one_of(SCALAR, REAL))
+def test_product_rule(x, y):
+    # the two-product shortcut for a real factor gives the four-product value
+    check_product(x, y)
+
+
+def test_product_rule_on_every_pattern_of_zero_parts():
+    scalars = [g(re, im) for re in (0, Fraction(-2, 3)) for im in (0, 5)]
+    for x, y in itertools.product(scalars, scalars + [0, 3, Fraction(7, 2)]):
+        check_product(x, y)
+
+
+def test_a_real_factor_costs_two_fraction_products(monkeypatch):
+    # a product with a real factor on either side makes two Fraction
+    # multiplications, one of two non-real factors makes four
+    calls = []
+    mul = Fraction.__mul__
+
+    def counted(a, b):
+        # Fraction(1, 2) * IMAG first asks Fraction, which declines
+        out = mul(a, b)
+        if out is not NotImplemented:
+            calls.append((a, b))
+        return out
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    real, nonreal = g(Fraction(3, 2)), g(2, Fraction(-1, 3))
+    for x, y, count in ((ONE, ONE, 2), (real, nonreal, 2), (nonreal, real, 2),
+                        (nonreal, 3, 2), (3, nonreal, 2), (Fraction(1, 2), IMAG, 2),
+                        (nonreal, IMAG, 4), (IMAG, IMAG, 4)):
+        del calls[:]
+        x * y
+        assert len(calls) == count, (x, y)
