@@ -211,7 +211,8 @@ def mono(tag: AlgebraTag, left: Iterable[int], right: Iterable[int] = (),
 
 
 def _check_tags(a: Element, b: Element) -> None:
-    if a.tag != b.tag:
+    # identity first: the dataclass __eq__ builds two tuples even for one tag
+    if a.tag is not b.tag and a.tag != b.tag:
         raise AlgebraError("algebra mismatch: %s vs %s" % (a.tag, b.tag))
 
 

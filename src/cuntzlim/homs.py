@@ -25,15 +25,17 @@ c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words of J's
 letters: the words form a prefix code, so distinct terms stay distinct, and
 two that meet refute the code with HomError.  apply runs the Leavitt rewrite
 on that table, through the Element constructor, and limits.psi takes f_inf's
-tables as they are.  f is no word hom and multiplies its images out one
-letter at a time, as every other hom does: as a word hom it makes an
-inverse-system benchmark pass 3.9x faster (0.32 -> 0.081 s), a timed run
-then attempts that many more operations, and the benchmark's peak RSS grows
-with them.
+tables as they are.  f is no word hom, and apply multiplies out its images,
+as those of every other hom: each term from its first image, not from the
+unit, so a term of n letters takes n - 1 products and only a term c I takes
+the unit.  As a word hom f makes an inverse-system benchmark pass several
+times faster, a timed run then attempts that many more operations, and the
+benchmark's peak RSS grows with them.
 
 Bounds: a comb word, and every word that apply builds, has at most
 IMAGE_WORD_MAX_LEN letters: a longer one is refused with HomError, by a word
-hom before it is built and by any other hom as soon as a product has it.  rn,
+hom before it is built and by any other hom as soon as a factor, the first
+included, or a product has it.  rn,
 and so q, refuses an r_n of more than Q_MAX_BITS bits.  f_inf(n) is memoised
 per process, at most F_INF_MEMO_SIZE homs, and a word hom keeps a word only
 while its table then holds at most IMAGE_WORD_MAX_LEN letters, counting each
@@ -141,7 +143,7 @@ class GenHom:
     def image(self, k: int) -> Element:
         self.domain.check_index(k)
         e = self._rule(k)
-        if e.tag != self.codomain:
+        if e.tag is not self.codomain and e.tag != self.codomain:
             raise HomError("image of generator %d has wrong tag" % k)
         return e
 
@@ -283,27 +285,30 @@ def _word_table(h: WordHom, e: Element) -> dict:
 def apply(h: GenHom, e: Element) -> Element:
     """h(e).  A word hom builds its image table with _word_table, and the
     Element constructor takes it into the Leavitt basis.  Any other hom
-    multiplies out the generator images of each term, and refuses with
-    HomError as soon as a product has a word past IMAGE_WORD_MAX_LEN
-    letters."""
-    if e.tag != h.domain:
+    multiplies out the generator images of each term c s_J s_K*, starting
+    from its first factor h(s_j1), or h(s_k1)* when J is empty, so a term
+    of n letters takes n - 1 products; only a term c I takes the unit.  It
+    refuses with HomError as soon as a factor or a product has a word past
+    IMAGE_WORD_MAX_LEN letters."""
+    if e.tag is not h.domain and e.tag != h.domain:
         raise AlgebraError("algebra mismatch: %s vs hom domain %s" % (e.tag, h.domain))
     if isinstance(h, WordHom):
         return Element(h.codomain, _word_table(h, e))
-    one = unit(h.codomain)
     pairs = []
     for (l, r), c in e.terms.items():
-        acc = one
+        acc = None
         factors = itertools.chain((h.image(k) for k in l),
                                   (adjoint(h.image(k)) for k in reversed(r)))
         for x in factors:
-            acc = multiply(acc, x)
+            acc = x if acc is None else multiply(acc, x)
             for a, b in acc.terms:
                 if len(a) > IMAGE_WORD_MAX_LEN or len(b) > IMAGE_WORD_MAX_LEN:
                     raise HomError("image of a term of %d letters builds a word of %d"
                                    " letters, past the bound of %d"
                                    % (len(l) + len(r), max(len(a), len(b)),
                                       IMAGE_WORD_MAX_LEN))
+        if acc is None:
+            acc = unit(h.codomain)
         pairs.extend((key, c * v) for key, v in acc.terms.items())
     return Element(h.codomain, pairs)
 

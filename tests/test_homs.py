@@ -590,7 +590,7 @@ INF_LETTERS = 20
 
 def _by_products(h):
     """The same generator images behind an Element rule, so apply multiplies
-    them out one letter at a time."""
+    them out, each term from its first image."""
     return GenHom(h.domain, h.codomain, h.image)
 
 
@@ -656,8 +656,9 @@ def test_word_homs_apply_without_products(monkeypatch):
     monkeypatch.setattr(homs, "adjoint", refuse)
     for h, e, want in cases:
         assert apply(h, e) == want
+    # a term of two letters takes one product; one letter takes none
     with pytest.raises(AssertionError, match="by products"):
-        apply(_by_products(f(1, 2)), gen(O(3), 1))
+        apply(_by_products(f(1, 2)), mono(O(3), (1, 2)))
     # generator 65536 of O_inf goes to s2^65535 s1 under f_inf(1)
     fam = psi(Chain((1, 2)), gen(O_INF, 65536))
     ((first, right),) = fam.entries[0].terms
@@ -686,6 +687,58 @@ def test_word_apply_bounds_every_word_it_builds():
     assert apply(d, gen(O(2), 2)) == mono(O(2), (1,) * (top // 2) + (2,))
     with pytest.raises(HomError, match="past the bound"):
         apply(d, mono(O(2), (1, 2)))
+
+
+def _as_word_hom(h):
+    """The word hom with the image words of h, a hom of a finite domain
+    whose images are bare isometry words."""
+    words = dict(zip(h.gens(), h.image_words()))
+    return WordHom(h.domain, h.codomain, words.__getitem__)
+
+
+def test_product_apply_starts_each_term_from_its_first_image(monkeypatch):
+    # a hom that is no word hom multiplies out each term from its first
+    # image, h(s_j) or h(s_k)* when the term has no left letters: a term of
+    # n letters takes max(n - 1, 0) products, and c I takes the unit
+    products = []
+    real_multiply = homs.multiply
+
+    def counting(a, b):
+        products.append(1)
+        return real_multiply(a, b)
+
+    monkeypatch.setattr(homs, "multiply", counting)
+    c = GaussianRational(Fraction(1, 2), -3)
+    for h in (f(1, 2), f(2, 6), q(2, 1), DigitMap(O(8), 2, 3)):
+        word = h if isinstance(h, WordHom) else _as_word_hom(h)
+        k = h.domain.ngens
+        terms = [((), ()), ((k,), ()), ((), (2,)), ((1, k), ()), ((), (k, 1)),
+                 ((2,), (k,)), ((k, 1, 2), ()), ((), (1, 2, k)), ((2, k), (1,)),
+                 ((1,), (k, 2))]
+        for left, right in terms:
+            e = mono(h.domain, left, right, c)
+            del products[:]
+            got = apply(_by_products(h), e)
+            assert len(products) == max(len(left) + len(right) - 1, 0), (h, e)
+            assert got == apply(word, e), (h, e)
+        e = Element(h.domain, [(t, c) for t in terms])
+        del products[:]
+        assert apply(_by_products(h), e) == apply(word, e)
+        assert len(products) == sum(max(len(l) + len(r) - 1, 0) for l, r in terms)
+    assert apply(_by_products(f(1, 2)), mono(O(3), (), (), c)) == mono(O(2), (), (), c)
+
+
+def test_product_apply_bounds_the_first_factor():
+    # the first image of a term is held to IMAGE_WORD_MAX_LEN letters as
+    # every product is, on either side of the term
+    top = IMAGE_WORD_MAX_LEN
+    cod = O(2)
+    long = GenHom(O(2), cod, [mono(cod, (1,) * top + (2,)), mono(cod, (2,) * top)])
+    for e in (gen(O(2), 1), mono(O(2), (), (1,))):
+        with pytest.raises(HomError, match="term of 1 letters builds a word of %d"
+                           " letters, past the bound of %d" % (top + 1, top)):
+            apply(long, e)
+    assert apply(long, gen(O(2), 2)) == mono(cod, (2,) * top)
 
 
 def test_word_apply_refusal_builds_each_distinct_word_once():

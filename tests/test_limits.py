@@ -498,7 +498,7 @@ def test_coherence_is_decided_without_products(monkeypatch):
     assert all(check_coherent(fam) for fam in families)
     verify_psi(Chain((1, 2)), gen(O_INF, 65536))
     with pytest.raises(AssertionError, match="by products"):
-        apply(_by_products(f(1, 2)), gen(O(3), 1))
+        apply(_by_products(f(1, 2)), mono(O(3), (1, 2)))
 
 
 def test_psi_and_coherence_run_no_constructor(monkeypatch, rng):
