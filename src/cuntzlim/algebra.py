@@ -77,6 +77,23 @@ class AlgebraTag:
     def __str__(self) -> str:
         return "Oinf" if self.ngens is None else "O%d" % self.ngens
 
+    # identity first: most tag checks meet one object twice, and the
+    # dataclass __eq__ builds two tuples even then; != has its own method,
+    # as object.__ne__ would call __eq__ at about three times the cost
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ngens == other.ngens
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ngens != other.ngens
+
 
 O_INF = AlgebraTag(None)
 
@@ -211,8 +228,7 @@ def mono(tag: AlgebraTag, left: Iterable[int], right: Iterable[int] = (),
 
 
 def _check_tags(a: Element, b: Element) -> None:
-    # identity first: the dataclass __eq__ builds two tuples even for one tag
-    if a.tag is not b.tag and a.tag != b.tag:
+    if a.tag != b.tag:
         raise AlgebraError("algebra mismatch: %s vs %s" % (a.tag, b.tag))
 
 

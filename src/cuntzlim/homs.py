@@ -143,7 +143,7 @@ class GenHom:
     def image(self, k: int) -> Element:
         self.domain.check_index(k)
         e = self._rule(k)
-        if e.tag is not self.codomain and e.tag != self.codomain:
+        if e.tag != self.codomain:
             raise HomError("image of generator %d has wrong tag" % k)
         return e
 
@@ -286,11 +286,12 @@ def apply(h: GenHom, e: Element) -> Element:
     """h(e).  A word hom builds its image table with _word_table, and the
     Element constructor takes it into the Leavitt basis.  Any other hom
     multiplies out the generator images of each term c s_J s_K*, starting
-    from its first factor h(s_j1), or h(s_k1)* when J is empty, so a term
-    of n letters takes n - 1 products; only a term c I takes the unit.  It
-    refuses with HomError as soon as a factor or a product has a word past
+    from its first factor: h(s_j) for the first letter j of J, or h(s_k)*
+    for the last letter k of K when J is empty.  A term of n letters takes
+    n - 1 products; only a term c I takes the unit.  It refuses with
+    HomError as soon as a factor or a product has a word past
     IMAGE_WORD_MAX_LEN letters."""
-    if e.tag is not h.domain and e.tag != h.domain:
+    if e.tag != h.domain:
         raise AlgebraError("algebra mismatch: %s vs hom domain %s" % (e.tag, h.domain))
     if isinstance(h, WordHom):
         return Element(h.codomain, _word_table(h, e))

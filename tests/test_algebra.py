@@ -43,6 +43,14 @@ def test_tag_validation():
     assert not O_INF.is_finite
 
 
+def test_tags_compare_by_generator_count():
+    # two tags of one algebra are equal whether or not they are one object
+    for tag in (O(3), O3):
+        assert tag == O3 and not tag != O3 and hash(tag) == hash(O3)
+    assert O3 != O(4) and not O3 == O(4) and O3 != O_INF and O_INF == AlgebraTag(None)
+    assert O2 != 2 and not O2 == 2
+
+
 def test_generator_index_bounds():
     gen(O2, 2)
     with pytest.raises(AlgebraError):

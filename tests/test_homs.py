@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -622,10 +623,18 @@ def _word_hom_inputs(draw):
 @given(_word_hom_inputs())
 @example((q(2, 1), mono(O(4), (2,), (4,))))
 @example((q(2, 1), mono(O(4), (1,), (3,)) + mono(O(4), (2,), (4,))))
+@example((f_inf(2), mono(O_INF, (), (), GaussianRational(Fraction(1, 2), -3))
+          + mono(O_INF, (2, 5), (1,)) + mono(O_INF, (), (3, 1))))
 def test_word_apply_equals_multiply_chain(case):
+    # the multiplying apply starts each term from its first image, h(s_j)
+    # or h(s_k)* when the term has no left letters: a term of n letters
+    # takes max(n - 1, 0) products, and c I takes the unit
     h, e = case
     assert isinstance(h, WordHom)
-    assert apply(h, e) == apply(_by_products(h), e)
+    with mock.patch.object(homs, "multiply", wraps=homs.multiply) as products:
+        by_products = apply(_by_products(h), e)
+    assert products.call_count == sum(max(len(l) + len(r) - 1, 0) for l, r in e.terms)
+    assert apply(h, e) == by_products
 
 
 def test_word_apply_rewrites_and_combines():
@@ -689,58 +698,6 @@ def test_word_apply_bounds_every_word_it_builds():
         apply(d, mono(O(2), (1, 2)))
 
 
-def _as_word_hom(h):
-    """The word hom with the image words of h, a hom of a finite domain
-    whose images are bare isometry words."""
-    words = dict(zip(h.gens(), h.image_words()))
-    return WordHom(h.domain, h.codomain, words.__getitem__)
-
-
-def test_product_apply_starts_each_term_from_its_first_image(monkeypatch):
-    # a hom that is no word hom multiplies out each term from its first
-    # image, h(s_j) or h(s_k)* when the term has no left letters: a term of
-    # n letters takes max(n - 1, 0) products, and c I takes the unit
-    products = []
-    real_multiply = homs.multiply
-
-    def counting(a, b):
-        products.append(1)
-        return real_multiply(a, b)
-
-    monkeypatch.setattr(homs, "multiply", counting)
-    c = GaussianRational(Fraction(1, 2), -3)
-    for h in (f(1, 2), f(2, 6), q(2, 1), DigitMap(O(8), 2, 3)):
-        word = h if isinstance(h, WordHom) else _as_word_hom(h)
-        k = h.domain.ngens
-        terms = [((), ()), ((k,), ()), ((), (2,)), ((1, k), ()), ((), (k, 1)),
-                 ((2,), (k,)), ((k, 1, 2), ()), ((), (1, 2, k)), ((2, k), (1,)),
-                 ((1,), (k, 2))]
-        for left, right in terms:
-            e = mono(h.domain, left, right, c)
-            del products[:]
-            got = apply(_by_products(h), e)
-            assert len(products) == max(len(left) + len(right) - 1, 0), (h, e)
-            assert got == apply(word, e), (h, e)
-        e = Element(h.domain, [(t, c) for t in terms])
-        del products[:]
-        assert apply(_by_products(h), e) == apply(word, e)
-        assert len(products) == sum(max(len(l) + len(r) - 1, 0) for l, r in terms)
-    assert apply(_by_products(f(1, 2)), mono(O(3), (), (), c)) == mono(O(2), (), (), c)
-
-
-def test_product_apply_bounds_the_first_factor():
-    # the first image of a term is held to IMAGE_WORD_MAX_LEN letters as
-    # every product is, on either side of the term
-    top = IMAGE_WORD_MAX_LEN
-    cod = O(2)
-    long = GenHom(O(2), cod, [mono(cod, (1,) * top + (2,)), mono(cod, (2,) * top)])
-    for e in (gen(O(2), 1), mono(O(2), (), (1,))):
-        with pytest.raises(HomError, match="term of 1 letters builds a word of %d"
-                           " letters, past the bound of %d" % (top + 1, top)):
-            apply(long, e)
-    assert apply(long, gen(O(2), 2)) == mono(cod, (2,) * top)
-
-
 def test_word_apply_refusal_builds_each_distinct_word_once():
     # with the table's letter budget spent, a word is built anew on each
     # use; the refusal still builds each distinct word of the term once for
@@ -777,6 +734,15 @@ def test_multiplied_apply_refuses_words_past_the_bound():
     assert apply(h, mono(O(10 ** 11 + 1), (32768,) * 2)) == mono(O(2), half * 2)
     with pytest.raises(HomError, match="builds a word of 65537 letters"):
         apply(h, mono(O(10 ** 11 + 1), (32768, 32769)))
+    # f's rule refuses an image past the bound itself (s65537), so a hom
+    # whose generator-1 image is one letter longer shows that apply holds
+    # the first factor of a term to the bound too, on either side of it
+    top = IMAGE_WORD_MAX_LEN
+    long = GenHom(O(2), O(2), [mono(O(2), (1,) * top + (2,)), mono(O(2), (2,) * top)])
+    for e in (gen(O(2), 1), mono(O(2), (), (1,))):
+        with pytest.raises(HomError, match="term of 1 letters builds a word of %d" % (top + 1)):
+            apply(long, e)
+    assert apply(long, gen(O(2), 2)) == mono(O(2), (2,) * top)
 
 
 def test_word_apply_refuses_words_that_are_no_prefix_code():
