@@ -18,9 +18,10 @@ and q: generator k goes to the L base-a digits of k-1, each plus 1.  On
 O_{a^L} it is a bijection onto A^L, and compose substitutes codes:
 D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
 
-A WordHom (f_inf, q, identity) keeps one table, generator -> word, filled
-on first use while it holds at most IMAGE_WORD_MAX_LEN letters; image(k) is
-the bare monomial of word(k), built on each call.  _word_table sends
+A WordHom (f_inf, q, identity) keeps one table, generator -> word, that
+only _concat reads and fills, while it holds at most IMAGE_WORD_MAX_LEN
+letters: word(k) is _concat of the one letter k, and image(k) the bare
+monomial of word(k), built on each call.  _word_table sends
 c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words of J's
 letters: the words form a prefix code, so distinct terms stay distinct, and
 two that meet refute the code with HomError.  apply runs the Leavitt rewrite
@@ -201,11 +202,9 @@ def _monomial(tag: AlgebraTag, w: Word) -> Element:
 
 class WordHom(GenHom):
     """A hom that sends each generator to one isometry word, given by a rule
-    k -> Word.  word(k) checks the index and runs the rule the first time
-    generator k is asked for; image(k) is the bare monomial s_w of that
-    word, built on each call.  The one word table keeps a new word while
-    the table then holds at most IMAGE_WORD_MAX_LEN letters, counting each
-    word as at least one letter; a later word is built on each use."""
+    k -> Word.  word(k) checks the index and reads the word through
+    _concat, the one place that reads and fills the word table; image(k) is
+    the bare monomial s_w of that word, built on each call."""
 
     __slots__ = ("_words", "_word_rule", "_letters")
 
@@ -217,28 +216,12 @@ class WordHom(GenHom):
         self._word_rule = rule
         self._letters = 0
 
-    def _build(self, k: int) -> Word:
-        """Run the rule for generator k, not yet in the table, and keep its
-        word while the table stays within its letter budget."""
-        w = self._word_rule(k)
-        size = self._letters + (len(w) or 1)
-        if size <= IMAGE_WORD_MAX_LEN:
-            self._words[k] = w
-            self._letters = size
-        return w
-
     def word(self, k: int) -> Word:
         self.domain.check_index(k)
-        w = self._words.get(k)
-        if w is None:
-            w = self._build(k)
-        return w
+        return _concat(self, (k,))
 
     def image(self, k: int) -> Element:
         return _monomial(self.codomain, self.word(k))
-
-    def image_words(self) -> list:
-        return [self.word(k) for k in self.gens()]
 
 
 def identity(tag: AlgebraTag) -> WordHom:
@@ -248,17 +231,25 @@ def identity(tag: AlgebraTag) -> WordHom:
 def _concat(h: WordHom, letters: Word) -> Word:
     """The concatenated words of h for the letters, refused with HomError
     before it passes IMAGE_WORD_MAX_LEN letters.  The letters are those of
-    an element of h's domain, so their indices are not checked."""
+    an element of h's domain, so their indices are not checked.  A word not
+    in h's table is built by h's rule and kept while the table then holds at
+    most IMAGE_WORD_MAX_LEN letters, counting each word as at least one; a
+    later word is built on each use."""
     words = h._words
     out = []
     for k in letters:
         w = words.get(k)
         if w is None:
-            w = h._build(k)
+            w = h._word_rule(k)
+            size = h._letters + (len(w) or 1)
+            if size <= IMAGE_WORD_MAX_LEN:
+                words[k] = w
+                h._letters = size
         if len(out) + len(w) > IMAGE_WORD_MAX_LEN:
-            # each distinct word once: a word past the table's budget is
-            # built anew on every use
-            lens = {a: len(h.word(a)) for a in set(letters)}
+            # each distinct word once, from the table or the rule: a word
+            # past the table's budget is built anew on every use
+            lens = {a: len(words[a] if a in words else h._word_rule(a))
+                    for a in set(letters)}
             size = sum(lens[a] for a in letters)
             raise HomError("image of a word of %d letters is a word of %d letters,"
                            " past the bound of %d"

@@ -59,7 +59,7 @@ def check_coherent(fam: CoherentFamily) -> bool:
     and f(y) = x holds iff every term of x decodes and the decoded terms
     are those of y (f_preimage).  The chain and the entries' tags were
     checked when the family was built, so they are not checked again."""
-    ns, xs = fam.chain.elements, fam.entries
+    ns, xs = fam.chain, fam.entries
     return all(_comb_preimage(n, m, x) == y.terms
                for n, m, x, y in zip(ns, ns[1:], xs, xs[1:]))
 

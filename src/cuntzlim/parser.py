@@ -178,29 +178,21 @@ def _render_mono(left, right) -> str:
     return " ".join(parts) if parts else "I"
 
 def render(e: Element) -> str:
-    """Deterministic text form; parse(render(e)) is structurally equal to e."""
+    """Deterministic text form; parse(render(e)) is structurally equal to e.
+    Terms run from shortest to longest.  A term whose coefficient is a
+    negative real or a negative multiple of i follows a minus sign, with
+    the coefficient negated; a coefficient 1 is left out, and so is the
+    monomial I after any other coefficient."""
     if e.is_zero():
         return "0"
-    bits = []
+    out = []
     for (l, r) in sorted(e.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
         c = e.terms[(l, r)]
-        m = _render_mono(l, r)
-        cs = str(c)
-        if cs == "1":
-            bits.append(m)
-        elif cs == "-1":
-            bits.append("- %s" % m if bits else "-%s" % m)
-            continue
-        elif m == "I":
-            bits.append(cs)
-        else:
-            bits.append("%s %s" % (cs, m))
-    out = bits[0]
-    for b in bits[1:]:
-        if b.startswith("- "):
-            out += " " + b
-        elif b.startswith("-"):
-            out += " - " + b[1:]
-        else:
-            out += " + " + b
-    return out
+        negative = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
+        cs, m = str(-c if negative else c), _render_mono(l, r)
+        if negative:
+            out.append(" - " if out else "-")
+        elif out:
+            out.append(" + ")
+        out.append(m if cs == "1" else cs if m == "I" else "%s %s" % (cs, m))
+    return "".join(out)

@@ -1,5 +1,6 @@
-"""The divisibility poset on the positive integers, cofinal chains, and the
-embeddability graph between Cuntz algebras."""
+"""The divisibility poset on the positive integers, cofinal chains (a Chain
+is a tuple checked once, when it is built), and the embeddability graph
+between Cuntz algebras."""
 from __future__ import annotations
 
 import itertools
@@ -28,31 +29,24 @@ def join(n: int, m: int) -> int:
     return math.lcm(n, m)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A finite divisibility chain n_1 | n_2 | ... of positive integers."""
+class Chain(tuple):
+    """A finite divisibility chain n_1 | n_2 | ... of positive integers: a
+    tuple of them, checked once, when it is built, to be nonempty and
+    strictly increasing under divisibility.  It equals the plain tuple of
+    its elements."""
 
-    elements: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        if not elems:
+    def __new__(cls, elements: Iterable[int]):
+        self = super().__new__(cls, elements)
+        if not self:
             raise ValueError("chain must be nonempty")
-        for a in elems:
+        for a in self:
             check_int("poset element", a, 1, ValueError)
-        for a, b in zip(elems, elems[1:]):
+        for a, b in zip(self, self[1:]):
             if b % a or a == b:
-                raise ValueError("not strictly increasing under divisibility: %r" % (elems,))
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
+                raise ValueError("not strictly increasing under divisibility: %r" % (self,))
+        return self
 
 
 def cofinal_chain(enumeration: Iterable[int], length: int) -> Chain:
@@ -64,16 +58,12 @@ def cofinal_chain(enumeration: Iterable[int], length: int) -> Chain:
     xs = list(itertools.islice(enumeration, length))
     if not xs:
         raise ValueError("empty enumeration")
-    ys: List[int] = []
-    for x in xs:
-        y = x if not ys else join(ys[-1], x)
-        ys.append(y)
-    # drop repeats so the Chain is strictly increasing
-    out = [ys[0]]
-    for y in ys[1:]:
-        if y != out[-1]:
-            out.append(y)
-    return Chain(tuple(out))
+    ys = xs[:1]
+    for x in xs[1:]:
+        y = join(ys[-1], x)
+        if y != ys[-1]:  # a repeat would make the Chain not strictly increasing
+            ys.append(y)
+    return Chain(ys)
 
 
 @dataclass

@@ -1,6 +1,7 @@
-"""The benchmark in bench/ patches and imports cuntzlim by name, so a renamed
-or deleted name would break `bench/run.py --trace 1` without failing any
-library test.  These checks read bench/ and look every such name up."""
+"""The benchmark in bench/ patches, imports and reads cuntzlim by name, so a
+renamed or deleted name would break `bench/run.py --trace 1` or
+`bench/selftest.py` without failing any library test.  These checks read
+bench/ and look every such name up."""
 import ast
 import importlib
 import importlib.util
@@ -56,3 +57,59 @@ def test_workload_keywords_exist():
             params = inspect.signature(imported[node.func.id]).parameters
             for kw in node.keywords:
                 assert kw.arg in params, (node.func.id, kw.arg)
+
+
+def _module_names(tree):
+    """name -> cuntzlim module for every `import cuntzlim...` and every
+    `from cuntzlim... import name` whose name is a module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "cuntzlim":
+                    out[alias.asname or alias.name] = alias.name
+    for module, name in _cuntzlim_imports(tree):
+        if inspect.ismodule(getattr(importlib.import_module(module), name, None)):
+            out[name] = module + "." + name
+    return out
+
+
+def _attribute_chains(tree, modules):
+    """(module, 'a.b') for every read m.a.b off a name m bound to a cuntzlim
+    module; each chain is taken whole, not also as its prefixes."""
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in modules:
+                chains.add((modules[node.id], ".".join(attrs)))
+    return chains
+
+
+def _missing_attribute_chains():
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for module, chain in sorted(_attribute_chains(tree, _module_names(tree))):
+            obj = importlib.import_module(module)
+            for attr in chain.split("."):
+                if not hasattr(obj, attr):
+                    missing.append((path.name, module, chain))
+                    break
+                obj = getattr(obj, attr)
+    return missing
+
+
+def test_bench_attribute_reads_exist(monkeypatch):
+    # bench/selftest.py reads limits.apply and homs.GenHom.image off modules
+    # it imports; deleting such a name stops the self-test with
+    # AttributeError
+    assert _missing_attribute_chains() == []
+    from cuntzlim import limits
+
+    monkeypatch.delattr(limits, "apply")
+    assert ("selftest.py", "cuntzlim.limits", "apply") in _missing_attribute_chains()

@@ -698,6 +698,18 @@ def test_word_apply_bounds_every_word_it_builds():
         apply(d, mono(O(2), (1, 2)))
 
 
+def test_word_hom_refuses_one_word_past_the_bound():
+    # a digit code of top + 1 letters: word, image and apply each refuse
+    # generator 1's word, and the message sizes it without reading it back
+    # through word
+    h = DigitMap(O(2), 2, IMAGE_WORD_MAX_LEN + 1)
+    message = ("image of a word of 1 letters is a word of 65537 letters, past the bound"
+               " of 65536")
+    for get in (h.word, h.image, lambda k: apply(h, gen(O(2), k))):
+        with pytest.raises(HomError, match=message):
+            get(1)
+
+
 def test_word_apply_refusal_builds_each_distinct_word_once():
     # with the table's letter budget spent, a word is built anew on each
     # use; the refusal still builds each distinct word of the term once for

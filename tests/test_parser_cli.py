@@ -183,6 +183,19 @@ def test_render_zero_and_unit():
     assert render(unit(O2)) == "I"
 
 
+def test_render_signs_each_term_by_its_coefficient():
+    # a negative real or a negative multiple of i follows a minus sign; any
+    # other coefficient keeps its own signs inside its parentheses
+    O3 = O(3)
+    for text, want in (("-s1", "-s1"), ("s1 - s2", "s1 - s2"),
+                       ("-1/2 s1 + i s2", "-1/2 s1 + i s2"),
+                       ("-i s1 - 3/2 i s2", "-i s1 - 3/2 i s2"),
+                       ("(1 - 2 i) s1 - I", "-I + (1 - 2 i) s1"),
+                       ("-2 - s1", "-2 - s1"),
+                       ("- I + (-1 + 2 i) s2", "-I + (-1 + 2 i) s2")):
+        assert render(parse(O3, text)) == want
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
