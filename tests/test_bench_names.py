@@ -75,18 +75,16 @@ def _module_names(tree):
 
 
 def _attribute_chains(tree, modules):
-    """(module, 'a.b') for every read m.a.b off a name m bound to a cuntzlim
-    module; each chain is taken whole, not also as its prefixes."""
-    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    """(module, 'a.b') for every read m.a.b, and m.a, off a name m bound to
+    a cuntzlim module."""
     chains = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and id(node) not in inner:
-            attrs = []
-            while isinstance(node, ast.Attribute):
-                attrs.insert(0, node.attr)
-                node = node.value
-            if isinstance(node, ast.Name) and node.id in modules:
-                chains.add((modules[node.id], ".".join(attrs)))
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in modules:
+            chains.add((modules[node.id], ".".join(attrs)))
     return chains
 
 
