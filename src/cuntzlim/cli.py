@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from .algebra import AlgebraTag, O, O_INF, equals
 from .homs import GenHom, HomError, apply, f, f_inf, q
-from .parser import ParseError, parse, render
+from .parser import parse, render
 from .poset import Chain, embeddability_graph
 from .profinite import discontinuity_report
 from .verify import (
@@ -120,7 +120,7 @@ def _cmd_profinite_report(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    sys.stdout.write(render_partition(Chain(tuple(_ints(args.chain)))))
+    sys.stdout.write(render_partition(Chain(_ints(args.chain))))
     return 0
 
 
@@ -130,10 +130,11 @@ def render_partition(chain: Chain) -> str:
     image words in the top algebra R_{n_1}.  Rows are cell_w * (n_1 + 1)^L
     characters wide, L the longest image word; a chain whose rows would be
     wider than PARTITION_MAX_WIDTH raises ValueError before any word is
-    built."""
+    built.  A row is drawn in generator order: the comb words of f(n_1, n_k)
+    are in lexicographic order, the top word last, and form a maximal prefix
+    code, so their ranges tile the row from left to right."""
     n1 = chain[0]
     base = n1 + 1
-    homs = [f(n1, nk) for nk in chain]
     # f(n, m) sends generator m+1 to (s_{n+1})^{m/n}, its longest image word
     max_len = chain[-1] // n1
     cell_w = 6
@@ -144,20 +145,12 @@ def render_partition(chain: Chain) -> str:
         raise ValueError("chain %s is too wide to draw: rows of %d * %d^%d characters"
                          " exceed %d" % (list(chain), cell_w, base, max_len,
                                          PARTITION_MAX_WIDTH))
-    words = [h.image_words() for h in homs]
     rows = []
-    for nk, ws in zip(chain, words):
-        segs = []
-        for g, w in enumerate(ws, 1):
-            start = 0
-            for j, a in enumerate(w):
-                start += (a - 1) * base ** (max_len - 1 - j)
-            segs.append((start, base ** (max_len - len(w)), "s%d" % g))
-        segs.sort()
+    for nk in chain:
         line = ""
-        for start, width, label in segs:
-            body = label.ljust(width * cell_w - 1, ".")[: width * cell_w - 1]
-            line += "|" + body
+        for g, w in enumerate(f(n1, nk).image_words(), 1):
+            width = base ** (max_len - len(w)) * cell_w - 1
+            line += "|" + ("s%d" % g).ljust(width, ".")[:width]
         rows.append("O%-3d %s|" % (nk + 1, line))
     return "\n".join(rows) + "\n"
 
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("hom", help="hom family operations")
     hsub = hom.add_subparsers(dest="hom_command", required=True)
     p = hsub.add_parser("apply", help="apply a family hom to an expression")
-    p.add_argument("--family", choices=["f", "finf", "q"], required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("--args", required=True, help="comma-separated parameters")
     p.add_argument("expr")
     p.set_defaults(func=_cmd_hom_apply)
@@ -207,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("psi")
     p.add_argument("--chain", required=True)
     p.add_argument("--expr", required=True)
-    p.set_defaults(suite=lambda a: verify_psi(Chain(tuple(_ints(a.chain))),
+    p.set_defaults(suite=lambda a: verify_psi(Chain(_ints(a.chain)),
                                               parse(O_INF, a.expr), corrupt=a.corrupt),
                    done=lambda a: "psi image coherent on chain %s" % _ints(a.chain))
     p = vsub.add_parser("decomposition")
@@ -261,7 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, HomError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

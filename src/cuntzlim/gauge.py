@@ -1,17 +1,18 @@
-"""The gauge grade |J| - |K| and torus-diagonal monomials, the gauge
-witness of a word hom read from its image words, and the checks of the
-generator-doubling chain whose limit is uniformly hyperfinite: each level's
-squaring map and its push composite down to O_r are decided from their digit
-codes, and a composite's code length is the factor by which it scales the
-gauge grade.  Every reported field is read from the maps under test, so a
-map that breaks a level changes its report."""
+"""The gauge grade |J| - |K| and torus-diagonal monomials, the gauge witness of
+a word hom read from its words up to the first of another length (or from
+its digit code), and the checks of the generator-doubling chain whose limit
+is uniformly hyperfinite: each level's squaring map and its push composite
+down to O_r are decided from their digit codes, and a composite's code
+length is the factor by which it scales the gauge grade.  Every reported
+field is read from the maps under test, so a map that breaks a level changes
+its report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .algebra import AlgebraError, Element, Word, check_int, mono
-from .homs import GenHom, HomError, apply, compose, q, rn
+from .homs import GenHom, apply, compose, q, rn
 
 
 def is_gauge_invariant(e: Element) -> bool:
@@ -27,16 +28,18 @@ def is_diagonal(e: Element) -> bool:
 def gauge_witness(h: GenHom) -> Optional[Tuple[Tuple[Word, Word], Element]]:
     """The first grade-0 monomial s_i s_j*, (i, j) in lexicographic order,
     that h maps out of the gauge-invariant part, with its image; None when h
-    keeps the grading.  h must send each generator to one isometry word: it
+    keeps the grading.  A hom that sends each generator to one isometry word
     maps s_J s_K* to s_{h(J)} s_{h(K)}*, and the Leavitt rewrite keeps the
-    grade, so diagonal monomials stay diagonal and the grading breaks iff two
-    image words differ in length.  Then (1, j) is the first such pair."""
+    grade, so the grading breaks iff two image words differ in length.  Then
+    (1, j) is the first such pair: word(k) is read in order only up to j, so
+    HomError is raised only for a k < j that has no word.  A digit code (a, L)
+    gives every generator L letters, so no word is read."""
     if not (h.domain.is_finite and h.codomain.is_finite):
         raise AlgebraError("gauge witnesses need finite Cuntz tags")
-    words = h.image_words()
-    if not words:
-        raise HomError("%r sends some generator to no single isometry word" % (h,))
-    j = next((j for j, w in enumerate(words, 1) if len(w) != len(words[0])), None)
+    if h.code is not None:
+        return None
+    first = len(h.word(1))
+    j = next((k for k in h.gens() if len(h.word(k)) != first), None)
     if j is None:
         return None
     return ((1,), (j,)), apply(h, mono(h.domain, (1,), (j,)))

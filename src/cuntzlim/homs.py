@@ -7,7 +7,8 @@ domain is checked on its first INF_VALIDATION_GENS generators.  compose
 validates only when asked.  The families f, f_inf and q send each generator
 to one isometry word and are built unvalidated: such a hom is valid exactly
 when its words form a maximal prefix code (prefix-free, Kraft sum 1), which
-validate_prefix_code(h.image_words(), ...) checks in linear time.
+validate_prefix_code(h.image_words(), ...) checks in linear time: every hom
+has word(k), the w with image(k) = s_w (else HomError), listed by image_words().
 
 Their words come from two codes.  The comb code of f and f_inf, written by
 _comb_word and read by _comb_decode: generator n*l+i goes to (n+1)^l i for
@@ -20,8 +21,8 @@ D(a, L1) o D(a^L1, L2) = D(a, L1*L2).
 
 A WordHom (f_inf, q, identity) keeps one table, generator -> word, that
 only _concat reads and fills, while it holds at most IMAGE_WORD_MAX_LEN
-letters: word(k) is _concat of the one letter k, and image(k) the bare
-monomial of word(k), built on each call.  _word_table sends
+letters: word(k) is _concat of the one letter k, with no Element built, and
+image(k) the bare monomial of word(k), built on each call.  _word_table sends
 c s_J s_K* to c s_{w(J)} s_{w(K)}*, w(J) the concatenated words of J's
 letters: the words form a prefix code, so distinct terms stay distinct, and
 two that meet refute the code with HomError.  apply runs the Leavitt rewrite
@@ -115,9 +116,9 @@ class GenHom:
     """A *-homomorphism given by its generator images.
 
     Images come from a rule k -> Element.  image(k) checks k, runs the rule
-    and checks the image's tag on every call: a GenHom keeps nothing.  A
-    finite domain also accepts the sequence of its images.
-    """
+    and checks the image's tag on every call: a GenHom keeps nothing, and
+    word(k) unpacks image(k).  A finite domain also accepts the sequence of
+    its images."""
 
     __slots__ = ("domain", "codomain", "_rule")
     code: Optional[Tuple[int, int]] = None  # set only by DigitMap
@@ -151,18 +152,19 @@ class GenHom:
     def gens(self) -> range:
         return range(1, (self.domain.ngens or INF_VALIDATION_GENS) + 1)
 
+    def word(self, k: int) -> Word:
+        """The word w with image(k) = s_w, or HomError naming k when the
+        image is no single bare isometry word."""
+        terms = self.image(k).terms
+        if len(terms) == 1:
+            ((l, r), c), = terms.items()
+            if r == () and c == ONE:
+                return l
+        raise HomError("image of generator %d is no single isometry word" % k)
+
     def image_words(self) -> list:
-        """Image words when every image is a single bare isometry word, else []."""
-        out = []
-        for k in self.gens():
-            e = self.image(k)
-            if len(e.terms) != 1:
-                return []
-            ((l, r), c), = e.terms.items()
-            if r != () or not (c.re == 1 and c.im == 0):
-                return []
-            out.append(l)
-        return out
+        """word(k) for each k in gens(), in order."""
+        return [self.word(k) for k in self.gens()]
 
     def __repr__(self):
         return "<GenHom %s -> %s>" % (self.domain, self.codomain)
@@ -203,8 +205,9 @@ def _monomial(tag: AlgebraTag, w: Word) -> Element:
 class WordHom(GenHom):
     """A hom that sends each generator to one isometry word, given by a rule
     k -> Word.  word(k) checks the index and reads the word through
-    _concat, the one place that reads and fills the word table; image(k) is
-    the bare monomial s_w of that word, built on each call."""
+    _concat, the one place that reads and fills the word table, with no
+    Element built; image(k) is the bare monomial s_w of that word, built on
+    each call."""
 
     __slots__ = ("_words", "_word_rule", "_letters")
 

@@ -26,9 +26,9 @@ from .scalars import ONE
 
 # verify_state samples monomials whose words have length <= STATE_WORD_LEN
 STATE_WORD_LEN = 3
-# the largest sizes the suites accept: their work grows about as max^2.8
-# (inverse-system), max^2.1 (state) and 4^max-len (decomposition at n = 1),
-# and larger sizes are refused before any case is checked
+# the largest sizes the suites accept, refused above before any case is
+# checked: the time grows about as max^3 (inverse-system), max^2.2 (state)
+# and 3.4^max-len (decomposition at n = 1), timed at three sizes each
 INVERSE_SYSTEM_MAX = 256
 STATE_MAX = 1000
 DECOMPOSITION_MAX_LEN = 10

@@ -1,10 +1,13 @@
+import os
 import random
-
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cuntzlim import Element, GaussianRational, mono, zero
+import cuntzlim
+from cuntzlim import Element, GaussianRational, GenHom, mono, zero
 
 
 def random_word(rng: random.Random, n: int, max_len: int):
@@ -42,6 +45,20 @@ def random_table(rng: random.Random, tag, max_terms=6, max_len=3) -> dict:
         for i in range(1, n + 1):
             table[l + (i,), r + (i,)] = random_scalar(rng)
     return table
+
+
+def run_python(*args, timeout=None):
+    """python with args in a child process that imports the same package as
+    the tests."""
+    src = os.path.dirname(os.path.dirname(cuntzlim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
+
+
+def uncoded(h):
+    """h as a plain GenHom on its images: no word table and no digit code."""
+    return GenHom(h.domain, h.codomain, h.image)
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from cuntzlim import (
     validate_prefix_code,
 )
 
+from conftest import run_python, uncoded
 from oracle import gauge_witness_by_enumeration, uhf_member
 
 O2 = O(2)
@@ -87,6 +88,21 @@ def test_gauge_witness_needs_word_images_and_finite_tags():
         gauge_witness(bad)
     with pytest.raises(AlgebraError):
         gauge_witness(f_inf(2))
+
+
+@pytest.mark.parametrize("call, out", [
+    # f(1, 10^11) has 10^11 + 1 generators: the witness reads two words
+    ("gauge_witness(f(1, 10 ** 11))", "((1,), (2,)) s1 s1' s2'"),
+    # q(2, 5) has 2^32 generators and the digit code (2^16, 2): all its words
+    # have two letters
+    ("gauge_witness(q(2, 5))", "None"),
+])
+def test_gauge_witness_stops_at_its_answer(call, out):
+    code = ("from cuntzlim import *\n"
+            "w = %s\n"
+            "print(w if w is None else '%%s %%s' %% (w[0], render(w[1])))" % call)
+    proc = run_python("-c", code, timeout=10)
+    assert proc.returncode == 0 and proc.stdout == out + "\n", proc.stderr
 
 
 def test_uhf_membership():
@@ -151,10 +167,6 @@ def test_uhf_chain_check_depth_is_bounded_only_by_q():
         assert asked == list(range(1, 17))
 
 
-def _uncoded(h):
-    return GenHom(h.domain, h.codomain, h.image)
-
-
 @pytest.mark.parametrize("r, depth", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_uhf_code_certificates_agree_with_enumeration(r, depth):
     # the verdicts read from digit codes against the enumerating ones: the
@@ -164,7 +176,7 @@ def test_uhf_code_certificates_agree_with_enumeration(r, depth):
     rep = uhf_chain_check(r, depth)
     push = None
     for lv in rep.levels:
-        step = _uncoded(q(r, lv.n))
+        step = uncoded(q(r, lv.n))
         push = step if push is None else compose(push, step, validate=False)
         assert push.code is None
         assert lv.code_maximal == validate_prefix_code(step.image_words(), rn(r, lv.n)).maximal
@@ -186,7 +198,7 @@ def test_uhf_words_one_letter_too_long_are_rejected_by_both_certificates(r):
     # and 6 where 2 and 4 are due
     code = validate_prefix_code(bad.image_words(), r)
     assert code.prefix_free and code.kraft_sum == Fraction(1, r) and not code.maximal
-    pushed = compose(_uncoded(bad), _uncoded(q(r, 2)), validate=False).image_words()
+    pushed = compose(uncoded(bad), uncoded(q(r, 2)), validate=False).image_words()
     assert {len(w) for w in bad.image_words()} == {3} and {len(w) for w in pushed} == {6}
 
 

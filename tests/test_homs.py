@@ -40,25 +40,7 @@ from cuntzlim import homs
 from cuntzlim.homs import IMAGE_WORD_MAX_LEN
 from cuntzlim.parser import render
 
-from conftest import random_element
-
-
-def test_f_1_2_generator_images():
-    assert f(1, 2).image_words() == [(1,), (2, 1), (2, 2)]
-
-
-def test_f_2_4_generator_images():
-    assert f(2, 4).image_words() == [(1,), (2,), (3, 1), (3, 2), (3, 3)]
-
-
-def test_f_1_4_generator_images():
-    assert f(1, 4).image_words() == [
-        (1,),
-        (2, 1),
-        (2, 2, 1),
-        (2, 2, 2, 1),
-        (2, 2, 2, 2),
-    ]
+from conftest import random_element, uncoded
 
 
 def test_f_general_formula():
@@ -69,6 +51,18 @@ def test_f_general_formula():
         (4, 1), (4, 2), (4, 3),
         (4, 4),
     ]
+
+
+def test_image_words_refuse_an_image_that_is_no_word():
+    # generator 3 of this O4 -> O2 map goes to s1 + s2, no isometry word:
+    # word(3) and image_words() name it, and word(1) still reads its word
+    h = q(2, 1)
+    bad = GenHom(h.domain, h.codomain,
+                 lambda k: gen(O(2), 1) + gen(O(2), 2) if k == 3 else h.image(k))
+    for read in (bad.image_words, lambda: bad.word(3)):
+        with pytest.raises(HomError, match="image of generator 3 is no single isometry word"):
+            read()
+    assert bad.word(1) == (1, 1)
 
 
 def test_f_and_f_inf_share_the_comb_code():
@@ -93,12 +87,6 @@ def test_f_requires_divisibility():
 def test_f_validates_as_unital_star_hom():
     for h in (f(2, 6), f(1, 5)):
         make_hom(h.domain, h.codomain, h.image)
-
-
-def test_compose_matches_direct_connecting_map():
-    c = compose(f(1, 2), f(2, 4), validate=False)
-    d = f(1, 4)
-    assert all(equals(c.image(k), d.image(k)) for k in d.gens())
 
 
 def test_identity_and_apply():
@@ -302,10 +290,6 @@ def test_digit_map_images():
             DigitMap(domain, a, length)
 
 
-def _uncoded(h):
-    return GenHom(h.domain, h.codomain, h.image)
-
-
 @pytest.mark.parametrize("r", [2, 3])
 def test_coded_composites_equal_applied_images(r):
     # D(a, L1) after D(a^L1, L2) is D(a, L1*L2), with no apply; two and three
@@ -317,7 +301,7 @@ def test_coded_composites_equal_applied_images(r):
     for comp, outer, inner in ((two, q(r, 1), q(r, 2)), (three, two, q(r, 3))):
         for k in comp.gens():
             assert comp.image(k) == apply(outer, inner.image(k))
-    assert compose(_uncoded(q(r, 1)), q(r, 2), validate=False).code is None
+    assert compose(uncoded(q(r, 1)), q(r, 2), validate=False).code is None
 
 
 @pytest.mark.parametrize("r", [2, 3])

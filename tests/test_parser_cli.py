@@ -1,12 +1,9 @@
-import os
 import re
-import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-import cuntzlim
 from cuntzlim import (
     IMAG, O, O_INF, GenHom, ParseError, equals, gen, mono, parse, render, unit, zero,
 )
@@ -25,6 +22,8 @@ from cuntzlim.verify import (
     verify_state,
     verify_uhf,
 )
+
+from conftest import run_python
 
 O2 = O(2)
 
@@ -212,11 +211,7 @@ def run(*argv):
 
 def run_process(*argv, timeout=None, module="cuntzlim.cli"):
     """The CLI in a child process that imports the same package as the tests."""
-    src = os.path.dirname(os.path.dirname(cuntzlim.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return run_python("-m", module, *argv, timeout=timeout)
 
 
 def test_cli_normalize():
@@ -479,6 +474,68 @@ def test_cli_partition():
     assert len(render_partition(Chain((1, 13))).splitlines()[0]) > 6 * 2 ** 13
     with pytest.raises(ValueError, match="too wide"):
         render_partition(Chain((1, 14)))
+
+
+# the partition text of three chains, pinned character for character: each
+# row tiles [0, 1] with the ranges of its generators' words, left to right
+PARTITION_TEXT = {
+    (1, 2, 4): (
+        "O2   |s1.............................................|s2......................"
+        ".......................|\n"
+        "O3   |s1.............................................|s2.....................|"
+        "s3.....................|\n"
+        "O5   |s1.............................................|s2.....................|"
+        "s3.........|s4...|s5...|\n"
+    ),
+    (1, 3, 6): (
+        "O2   |s1......................................................................"
+        ".............................................................................."
+        ".........................................|s2.................................."
+        ".............................................................................."
+        ".............................................................................|"
+        "\n"
+        "O4   |s1......................................................................"
+        ".............................................................................."
+        ".........................................|s2.................................."
+        "...........................................................|s3................"
+        ".............................|s4.............................................|"
+        "\n"
+        "O7   |s1......................................................................"
+        ".............................................................................."
+        ".........................................|s2.................................."
+        "...........................................................|s3................"
+        ".............................|s4.....................|s5.........|s6...|s7...|"
+        "\n"
+    ),
+    (2, 4, 8): (
+        "O3   |s1......................................................................"
+        ".............................................................................."
+        "...........|s2................................................................"
+        ".............................................................................."
+        ".................|s3.........................................................."
+        ".............................................................................."
+        ".......................|\n"
+        "O5   |s1......................................................................"
+        ".............................................................................."
+        "...........|s2................................................................"
+        ".............................................................................."
+        ".................|s3...................................................|s4...."
+        "...............................................|s5............................"
+        ".......................|\n"
+        "O9   |s1......................................................................"
+        ".............................................................................."
+        "...........|s2................................................................"
+        ".............................................................................."
+        ".................|s3...................................................|s4...."
+        "...............................................|s5...............|s6.........."
+        ".....|s7...|s8...|s9...|\n"
+    ),
+}
+
+
+def test_partition_text_is_pinned():
+    for chain, text in PARTITION_TEXT.items():
+        assert render_partition(Chain(chain)) == text, chain
 
 
 def test_partition_refuses_wide_chains_before_building_words(monkeypatch):
