@@ -34,7 +34,6 @@ from .homs import (
 )
 from .poset import (
     Chain,
-    Digraph,
     cofinal_chain,
     divisibility_edges,
     embeddability_edges,

@@ -81,7 +81,10 @@ def _cmd_equals(args) -> int:
     if equals(a, b):
         print("equal")
         return 0
-    print("not equal: difference %s" % render(a - b))
+    try:
+        print("not equal: difference %s" % render(a - b))
+    except ValueError as exc:
+        print("not equal: difference not printed: %s" % exc)
     return 1
 
 
@@ -106,11 +109,6 @@ def _emit(text: str, out: Optional[str]) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _cmd_poset_graph(args) -> int:
-    g = embeddability_graph(args.max, reduce=args.reduce)
-    return _emit(g.to_dot("embeddability"), args.out)
 
 
 def _cmd_profinite_report(args) -> int:
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--reduce", action="store_true",
                    help="emit only covering arrows (Hasse diagram)")
-    p.set_defaults(func=_cmd_poset_graph)
+    p.set_defaults(func=lambda a: _emit(embeddability_graph(a.max, reduce=a.reduce), a.out))
 
     pro = sub.add_parser("profinite", help="profinite K0 reports")
     prsub = pro.add_subparsers(dest="profinite_command", required=True)

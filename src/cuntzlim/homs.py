@@ -7,8 +7,9 @@ domain is checked on its first INF_VALIDATION_GENS generators.  compose
 validates only when asked.  The families f, f_inf and q send each generator
 to one isometry word and are built unvalidated: such a hom is valid exactly
 when its words form a maximal prefix code (prefix-free, Kraft sum 1), which
-validate_prefix_code(h.image_words(), ...) checks in linear time: every hom
-has word(k), the w with image(k) = s_w (else HomError), listed by image_words().
+validate_prefix_code(h.image_words(), ...) checks with one sort: N log N word
+comparisons, each reading at most the shorter word.  Every hom has word(k),
+the w with image(k) = s_w (else HomError), listed by image_words().
 
 Their words come from two codes.  The comb code of f and f_inf, written by
 _comb_word and read by _comb_decode: generator n*l+i goes to (n+1)^l i for
@@ -102,12 +103,11 @@ def validate_prefix_code(words: Iterable[Word], alphabet_size: int) -> CodeRepor
     letters = AlgebraTag(alphabet_size)
     for w in ws:
         letters.check_word(w)
-    # duplicates break prefix-freeness; so does any proper prefix in the set,
-    # the empty word included
-    seen = set(ws)
-    prefix_free = len(seen) == len(ws) and not any(
-        w[:d] in seen for w in ws for d in range(len(w))
-    )
+    # in lexicographic order a word is followed by every word it is a prefix
+    # of, so the set is prefix-free iff no word is a prefix of the next one;
+    # a repeated word is its own prefix, and the empty word is everyone's
+    ws.sort()
+    prefix_free = not any(v[:len(w)] == w for w, v in itertools.pairwise(ws))
     kraft = sum(Fraction(1, alphabet_size ** len(w)) for w in ws)
     return CodeReport(prefix_free, kraft, prefix_free and kraft == 1)
 

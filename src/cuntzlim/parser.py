@@ -14,12 +14,15 @@ The parser evaluates to lists of raw (key, coefficient) pairs.  Terms
 combine and reach the canonical form only where an Element is built: once
 per parenthesised group, once for each product of two operands that both
 have several terms (so a run of such products never grows past its
-canonical size), and once for the whole expression.  Groups nest at most
+canonical size), and once for the whole expression.  A product multiplies
+its factors pairwise, then the products pairwise, and so on, so a word of
+n letters is copied about log2(n) times, not n times.  Groups nest at most
 MAX_NESTING deep, so deep input is refused before it can exhaust the stack.
 """
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
@@ -108,19 +111,24 @@ class _Parser:
         return acc
 
     def term(self) -> Pairs:
-        acc = self.factor()
+        factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
             elif not (kind in ("gen", "rat", "imag", "unit") or (kind == "op" and val == "(")):
-                return acc
-            rhs = self.factor()
-            products = pair_products(acc, rhs)
-            if len(acc) > 1 and len(rhs) > 1:
-                acc = self.canonical(products)
-            else:
-                acc = list(products)
+                break
+            factors.append(self.factor())
+        # neighbours multiply pairwise, then the products at twice the stride,
+        # so each letter is copied once per level, not once per later factor
+        n, step = len(factors), 1
+        while step < n:
+            for i in range(0, n - step, 2 * step):
+                a, b = factors[i], factors[i + step]
+                ab = pair_products(a, b)
+                factors[i] = self.canonical(ab) if len(a) > 1 and len(b) > 1 else list(ab)
+            step *= 2
+        return factors[0]
 
     def factor(self) -> Pairs:
         pairs = self.atom()
@@ -147,6 +155,9 @@ class _Parser:
                 return _scalar(GaussianRational.of(Fraction(val)))
             except ZeroDivisionError:
                 raise ParseError("zero denominator in %s" % val, pos)
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("rational of more than %d digits"
+                                 % sys.get_int_max_str_digits(), pos) from None
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
@@ -182,14 +193,19 @@ def render(e: Element) -> str:
     Terms run from shortest to longest.  A term whose coefficient is a
     negative real or a negative multiple of i follows a minus sign, with
     the coefficient negated; a coefficient 1 is left out, and so is the
-    monomial I after any other coefficient."""
+    monomial I after any other coefficient.  A coefficient of more digits
+    than sys.get_int_max_str_digits() (4300 by default) raises ValueError."""
     if e.is_zero():
         return "0"
     out = []
     for (l, r) in sorted(e.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
         c = e.terms[(l, r)]
         negative = (c.im == 0 and c.re < 0) or (c.re == 0 and c.im < 0)
-        cs, m = str(-c if negative else c), _render_mono(l, r)
+        try:
+            cs, m = str(-c if negative else c), _render_mono(l, r)
+        except ValueError:  # past the interpreter's digit limit
+            raise ValueError("a coefficient of more than %d digits cannot be written"
+                             % sys.get_int_max_str_digits()) from None
         if negative:
             out.append(" - " if out else "-")
         elif out:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
 
 from .algebra import check_int
@@ -66,21 +65,6 @@ def cofinal_chain(enumeration: Iterable[int], length: int) -> Chain:
     return Chain(ys)
 
 
-@dataclass
-class Digraph:
-    vertices: List[str]
-    edges: List[Tuple[str, str]] = field(default_factory=list)
-
-    def to_dot(self, name: str = "g") -> str:
-        lines = ["digraph %s {" % name]
-        for v in self.vertices:
-            lines.append('  "%s";' % v)
-        for a, b in self.edges:
-            lines.append('  "%s" -> "%s";' % (a, b))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
 def embeddability_edges(max_generators: int, reduce: bool = False) -> List[Tuple[int, int]]:
     """Edges O_m -> O_n (as generator-count pairs) for unital embeddings,
     that is (n-1) | (m-1); with reduce=True only covering arrows are kept
@@ -113,11 +97,13 @@ def reversed_relabeled(edges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]
     return sorted((n - 1, m - 1) for (m, n) in edges)
 
 
-def embeddability_graph(max_generators: int, reduce: bool = False) -> Digraph:
-    # the edges first: they refuse a graph past POSET_MAX before any vertex
-    # label is built
-    edges = [
-        ("O%d" % m, "O%d" % n) for m, n in embeddability_edges(max_generators, reduce)
-    ]
-    verts = ["O%d" % k for k in range(2, max_generators + 1)]
-    return Digraph(verts, edges)
+def embeddability_graph(max_generators: int, reduce: bool = False) -> str:
+    """The embeddability graph on O_2 .. O_max_generators as DOT text, a
+    digraph named embeddability: one line per vertex, then one per edge of
+    embeddability_edges, which refuses a graph past POSET_MAX before any
+    line is built."""
+    edges = embeddability_edges(max_generators, reduce)
+    lines = ["digraph embeddability {"]
+    lines += ['  "O%d";' % k for k in range(2, max_generators + 1)]
+    lines += ['  "O%d" -> "O%d";' % e for e in edges]
+    return "\n".join(lines) + "\n}\n"

@@ -29,7 +29,8 @@ grade-0 monomial up to a word length, where the library reads the gauge
 witness off the image words, and `uhf_member` tests the block membership of
 a word pair, where the library reads it off digit codes.  The edge
 references test every pair of vertices with hom_exists or divisibility and
-reduce by comparing every pair of edges.
+reduce by comparing every pair of edges.  `prefix_free_all_pairs` compares
+every pair of words, where the library compares sorted neighbours.
 """
 import itertools
 
@@ -158,6 +159,13 @@ def gauge_witness_by_enumeration(h, max_len):
                 if not is_gauge_invariant(img):
                     return (l, r), img
     return None
+
+
+def prefix_free_all_pairs(words):
+    """No word is a prefix of the word at another position: a repeated word
+    is a prefix of its copy, and the empty word of every other word."""
+    return not any(i != j and v[:len(w)] == w
+                   for i, w in enumerate(words) for j, v in enumerate(words))
 
 
 def uhf_member(r, n, left, right):

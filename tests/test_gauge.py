@@ -181,8 +181,8 @@ def test_uhf_code_certificates_agree_with_enumeration(r, depth):
         assert push.code is None
         assert lv.code_maximal == validate_prefix_code(step.image_words(), rn(r, lv.n)).maximal
         pushed = push.image_words()
-        assert lv.member_ok == (bool(pushed) and all(
-            len(w) == lv.grade_scale and uhf_member(r, lv.n + 1, w, ()) for w in pushed))
+        assert lv.member_ok == all(
+            len(w) == lv.grade_scale and uhf_member(r, lv.n + 1, w, ()) for w in pushed)
     assert rep.ok
 
 

@@ -40,7 +40,8 @@ from cuntzlim import homs
 from cuntzlim.homs import IMAGE_WORD_MAX_LEN
 from cuntzlim.parser import render
 
-from conftest import random_element, uncoded
+from conftest import random_element, run_python, uncoded
+from oracle import prefix_free_all_pairs
 
 
 def test_f_general_formula():
@@ -336,6 +337,39 @@ def test_prefix_code_validation():
     assert not rep.prefix_free
     rep = validate_prefix_code([(), (1,)], 2)
     assert not rep.prefix_free
+    with pytest.raises(HomError, match="^empty word set$"):
+        validate_prefix_code([], 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.lists(st.integers(1, k), max_size=4).map(tuple),
+                         min_size=1, max_size=8))))
+@example((2, [(1,), (2, 1), (1,)]))
+@example((2, [(2, 2), (), (1,)]))
+@example((3, [()]))
+def test_prefix_freeness_agrees_with_all_pairs(case):
+    # the library compares sorted neighbours; the oracle every pair of words,
+    # repeats and the empty word included
+    k, ws = case
+    assert validate_prefix_code(ws, k).prefix_free == prefix_free_all_pairs(ws)
+
+
+def test_prefix_code_certificate_of_a_long_comb_is_quick():
+    # f(1, 3000) has words of up to 3000 letters; testing every prefix of
+    # every word against the set took about 10 s already for f(1, 2000)
+    proc = run_python("-c", "from cuntzlim import f, validate_prefix_code\n"
+                      "assert validate_prefix_code(f(1, 3000).image_words(), 2).maximal",
+                      timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_apply_refuses_an_element_outside_its_domain():
+    # one domain check before the word path and the multiply path
+    for h, x in ((f(1, 2), gen(O(2), 1)), (f_inf(2), gen(O(3), 1)), (q(2, 1), unit(O_INF))):
+        with pytest.raises(AlgebraError, match="^algebra mismatch: %s vs hom domain %s$"
+                           % (x.tag, h.domain)):
+            apply(h, x)
 
 
 def test_invalid_word_images_rejected():

@@ -103,6 +103,8 @@ def test_L_splits_as_disjoint_union():
 def test_decompose_word_rejects_nonmembers():
     with pytest.raises(ValueError):
         decompose_word(2, (2, 2, 2))
+    with pytest.raises(ValueError, match=r"^word \(\) is not in L_3$"):
+        decompose_word(3, ())
     # classify_monomial rejects the same words, and letters other than 1, 2
     # through the word check of O_2
     for left, right in [((2, 2, 2), ()), ((), (1, 2))]:
@@ -614,6 +616,15 @@ def test_f_inf_words_end_in_a_letter_below_the_top():
     for n in range(1, 31):
         h = f_inf(n)
         assert all(h.word(k)[-1] <= n for k in range(1, 301))
+
+
+def test_decomposition_and_state_refuse_elements_of_other_algebras():
+    for x in (gen(O(3), 1), unit(O_INF)):
+        with pytest.raises(AlgebraError, match="^decomposition lives in O_2$"):
+            decompose_element(2, x)
+    for n, x in ((2, gen(O2, 1)), (1, unit(O(3))), (3, unit(O_INF))):
+        with pytest.raises(AlgebraError, match=r"^element must live in R_%d = O_%d$" % (n, n + 1)):
+            state_omega(n, x)
 
 
 def test_psi_refuses_an_element_outside_O_inf():

@@ -23,7 +23,7 @@ from cuntzlim.verify import (
     verify_uhf,
 )
 
-from conftest import run_python
+from conftest import random_element, run_python
 
 O2 = O(2)
 
@@ -70,6 +70,10 @@ def test_parse_errors():
         with pytest.raises(ParseError, match="zero denominator") as exc:
             parse(O2, bad)
         assert exc.value.pos == pos
+    with pytest.raises(ParseError, match=r"^unexpected token '\)' \(at position 5\)$"):
+        parse(O2, "s1 + )")
+    # spaces after the last token end the input
+    assert parse(O2, "s1 ") == parse(O2, " s1  ") == gen(O2, 1)
     # only ASCII digits: "s\u0661 + \u0663" read as s1 + 3, "s\U0001d7d9" as s1
     # and "\u0661/\u0662 s1" as 1/2 s1
     for bad, char in (("s\u0661 + \u0663", "\u0661"), ("s\U0001d7d9", "\U0001d7d9"),
@@ -89,6 +93,27 @@ def test_generator_without_ascii_digits_blames_what_follows_the_s(capsys):
         assert main(["normalize", "--algebra", "O3", text]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: %s\n" % message and captured.out == ""
+
+
+def test_long_products_parse_quickly():
+    # multiplying factor by factor copied the word built so far for each
+    # letter: 65536 letters took about 11 s
+    proc = run_python("-c", "from cuntzlim import O_INF, mono, parse\n"
+                      "assert parse(O_INF, 's1 ' * 65536) == mono(O_INF, (1,) * 65536)",
+                      timeout=5)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_products_of_sums_agree_with_products_in_order(rng):
+    # pairwise products meet the factors in another order than left to
+    # right; the canonical forms must agree
+    for tag in (O2, O(3), O_INF):
+        for count in range(1, 8):
+            es = [random_element(rng, tag, max_terms=3, max_len=2) for _ in range(count)]
+            want = es[0]
+            for e in es[1:]:
+                want = multiply(want, e)
+            assert parse(tag, " ".join("(%s)" % render(e) for e in es)) == want
 
 
 def nested(depth):
@@ -614,6 +639,25 @@ def test_python_dash_m_runs_the_cli():
     proc = run_process(*argv, module="cuntzlim")
     assert proc.returncode == 1 and proc.stdout.startswith("not equal")
     assert proc.stdout == run_process(*argv).stdout
+
+
+def test_cli_coefficients_past_the_digit_limit(capsys):
+    # 250 factors of 20 digits make a coefficient of 5000 digits, more than
+    # the interpreter writes: equals exited 2 with the interpreter's advice,
+    # as if the two sides could not be compared
+    big = " ".join(["99999999999999999999"] * 250) + " s1"
+    limit = "more than %d digits" % sys.get_int_max_str_digits()
+    assert main(["equals", "--algebra", "O2", big, "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("not equal") and limit in out and err == ""
+    assert main(["equals", "--algebra", "O2", big, big]) == 0
+    assert capsys.readouterr().out == "equal\n"
+    for argv in (("normalize", "--algebra", "O2", big),
+                 ("hom", "apply", "--family", "finf", "--args", "1", big),
+                 ("normalize", "--algebra", "O2", "7" * 5000)):
+        assert main(list(argv)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and limit in err and "set_int_max_str_digits" not in err, argv
 
 
 def test_cli_huge_image_words_exit_2():

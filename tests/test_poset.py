@@ -68,6 +68,8 @@ def test_chain_requires_positive_integers():
     for elems in ((0,), (-3,), (1.5, 3), (1, math.inf), (True, 2), (True,)):
         with pytest.raises(ValueError, match=POSITIVE):
             Chain(elems)
+    with pytest.raises(ValueError, match="^chain must be nonempty$"):
+        Chain([])
 
 
 def test_cofinal_chain_requires_positive_integers():
@@ -113,6 +115,8 @@ def test_cofinal_chain_refuses_length_below_one():
         with pytest.raises(ValueError, match="length must be an int >= 1"):
             cofinal_chain([2, 4], length)
     assert list(cofinal_chain([2, 3], 1)) == [2]
+    with pytest.raises(ValueError, match="^empty enumeration$"):
+        cofinal_chain(iter([]), 1)
 
 
 def test_factorial_chain_is_cofinal():
@@ -187,7 +191,7 @@ def test_edges_refuse_sizes_that_are_no_graph():
 
 
 def test_reduced_dot_output_for_eight_generators():
-    assert embeddability_graph(8, reduce=True).to_dot("embeddability") == (
+    assert embeddability_graph(8, reduce=True) == (
         'digraph embeddability {\n'
         + "".join('  "O%d";\n' % k for k in range(2, 9))
         + "".join('  "O%d" -> "O%d";\n' % e
@@ -196,5 +200,5 @@ def test_reduced_dot_output_for_eight_generators():
 
 
 def test_dot_output():
-    text = embeddability_graph(4, reduce=True).to_dot("g")
-    assert text.startswith("digraph g {") and '"O3" -> "O2";' in text
+    text = embeddability_graph(4, reduce=True)
+    assert text.startswith("digraph embeddability {") and '"O3" -> "O2";' in text

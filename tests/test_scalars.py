@@ -25,6 +25,13 @@ def test_i_squared_is_minus_one():
     assert IMAG * IMAG == -ONE
 
 
+def test_text_forms():
+    for x, text in ((g(Fraction(1, 2)), "1/2"), (IMAG, "i"), (-IMAG, "-i"),
+                    (g(0, Fraction(-3, 2)), "-3/2 i"), (g(1, -2), "(1 - 2 i)"),
+                    (g(-1, 1), "(-1 + i)")):
+        assert str(x) == text
+
+
 def test_conjugate_and_modulus():
     a = g(3, -4)
     assert a.conjugate() == g(3, 4)
