@@ -44,11 +44,17 @@ def _tag(text: str) -> AlgebraTag:
 def _int(text: str) -> int:
     """The integer that text spells in ASCII: surrounding spaces, an optional
     '-', then digits 0-9, the rule _tag applies.  int() alone would also
-    read other Unicode digits and '_' separators."""
+    read other Unicode digits and '_' separators.  A number past the
+    interpreter's digit limit raises ValueError, which a command prints and
+    an argparse type reports as an invalid value."""
     t = text.strip()
     if re.fullmatch("-?[0-9]+", t) is None:
         raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    return int(t)
+    try:
+        return int(t)
+    except ValueError:
+        raise ValueError("integer of more than %d digits"
+                         % sys.get_int_max_str_digits()) from None
 
 
 def _ints(text: str) -> List[int]:

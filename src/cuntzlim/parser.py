@@ -140,7 +140,11 @@ class _Parser:
     def atom(self) -> Pairs:
         kind, val, pos = self.take()
         if kind == "gen":
-            k = int(val[1:])
+            try:
+                k = int(val[1:])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("generator index of more than %d digits"
+                                 % sys.get_int_max_str_digits(), pos) from None
             try:
                 self.tag.check_index(k)
             except AlgebraError as exc:

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -8,6 +10,16 @@ import pytest
 
 import cuntzlim
 from cuntzlim import Element, GaussianRational, GenHom, mono, zero
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    """The module bench/<name>.py, read as it is: bench/ is no package."""
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def random_word(rng: random.Random, n: int, max_len: int):

@@ -1,89 +1,64 @@
-"""Independent references for the canonical form of cuntzlim.algebra, and
-the pair loops that the coherence check and the poset edges replaced.
+"""References for cuntzlim that tests compare the library against, and the
+pair loops that the coherence check and the poset edges replaced.
 
-The first two work on raw term tables, dicts mapping (left, right) word
-pairs to GaussianRational coefficients, and share no code with the library's
-canonicalization.
-
-`expansion_equal` decides equality without any normal form: the difference
-is split by gauge grade |J| - |K|, and every monomial of a grade is expanded
-to the longest right word of that grade with s_J s_K* = sum_i s_{Ji} s_{Ki}*.
-Monomials of one grade and one right length are linearly independent, and
-so are the grades, so the tables are equal iff every expansion cancels.
+The canonical form is checked against `reference`, which is
+bench/reference.py read as it is: tier-1 and the calculus workload share
+it, and it imports nothing from cuntzlim.  Its tables map (left, right)
+word pairs to (re, im) Fraction pairs; `pairs` turns a library term table
+into one.  `reference.equal` decides equality without any normal form: the
+difference is split by gauge grade |J| - |K|, and every monomial of a grade
+is expanded to the longest right word of that grade with
+s_J s_K* = sum_i s_{Ji} s_{Ki}*.  `reference.multiply` uses only the Cuntz
+relation s_i* s_j = delta_ij I.
 
 `shuffled_leavitt` applies the Leavitt rewrite
-s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}* one monomial at a
-time, choosing the monomial at random; a canonical form must not depend on
-those choices.
+s_{J.n} s_{K.n}* = s_J s_K* - sum_{i<n} s_{J.i} s_{K.i}* to a reference
+table one monomial at a time, choosing the monomial at random and adding
+through reference.add; a canonical form must not depend on those choices.
+`brute_in_L` tries every split of a word into blocks, `uhf_member` tests
+the block membership of a word pair where the library reads it off digit
+codes, `prefix_free_all_pairs` compares every pair of words where the
+library compares sorted neighbours, and `divisibility_pairs` tests every
+pair of integers; none of these calls cuntzlim.  The edge references
+reduce by comparing every pair of edges.
 
-`classify_raw` classifies a monomial over L_n words from its raw words: a
-mixed monomial x 2^(an) (y 2^(bn))* (a, b >= 1) is split by the range
-projection (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k.  The
-library decomposes the canonical form instead, which the Leavitt rewrite
-has already split.  `decompose_by_monomial` decomposes an O_2 element
-monomial by monomial: c times each part of classify_raw, summed.
-
-`coherent_all_pairs` applies every connecting map of a family, not only the
-consecutive ones.  `gauge_witness_by_enumeration` applies a hom to every
-grade-0 monomial up to a word length, where the library reads the gauge
-witness off the image words, and `uhf_member` tests the block membership of
-a word pair, where the library reads it off digit codes.  The edge
-references test every pair of vertices with hom_exists or divisibility and
-reduce by comparing every pair of edges.  `prefix_free_all_pairs` compares
-every pair of words, where the library compares sorted neighbours.
+The rest share library code, named here:
+- `classify_raw` classifies a monomial over L_n words from its raw words: a
+  mixed monomial x 2^(an) (y 2^(bn))* (a, b >= 1) is split by the range
+  projection (t_2)^n (t_2*)^n = I - sum_{k<n} t_2^k t_1 t_1* (t_2*)^k,
+  where the library decomposes the canonical form, which the Leavitt
+  rewrite has already split.  `decompose_by_monomial` sums c times each
+  part of classify_raw over the monomials of an O_2 element.  Both build
+  their parts as `Element`s of library scalars, so they share the
+  constructor's canonical form.
+- `coherent_all_pairs` checks every connecting map of a family, not only
+  the consecutive ones, but applies the library's `f` and `equals`.
+- `gauge_witness_by_enumeration` applies the hom `h` under test to every
+  grade-0 monomial up to a word length, where the library reads the gauge
+  witness off the image words.
+- `embeddability_pairs` tests every pair of vertices with the library's
+  `hom_exists`.
 """
 import itertools
 
 from cuntzlim import ONE, Element, O, apply, equals, f, hom_exists, is_gauge_invariant, mono
 
+from conftest import load_bench
+
 O2 = O(2)
+reference = load_bench("reference")
 
 
-def _acc(table, key, c):
-    s = table.get(key)
-    s = c if s is None else s + c
-    if s.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = s
+def pairs(table):
+    """A term table with GaussianRational coefficients as a reference table,
+    with (re, im) Fraction pairs."""
+    return {key: (c.re, c.im) for key, c in table.items()}
 
 
-def _expand_table(terms, n):
-    """Expand every monomial of a single-grade table to the maximal right
-    length; the result is empty iff the table is zero in O_n."""
-    if not terms:
-        return {}
-    m = max(len(r) for (_, r) in terms)
-    acc = {}
-    for (l, r), c in terms.items():
-        tails = [()]
-        for _ in range(m - len(r)):
-            tails = [w + (i,) for w in tails for i in range(1, n + 1)]
-        for w in tails:
-            _acc(acc, (l + w, r + w), c)
-    return acc
-
-
-def expansion_equal(a, b, n):
-    """Exact equality of two raw tables in O_n (n = None for O_inf, where
-    reduced monomials are independent)."""
-    diff = dict(a)
-    for key, c in b.items():
-        _acc(diff, key, -c)
-    if n is None or not diff:
-        return not diff
-    grades = {}
-    for (l, r), c in diff.items():
-        grades.setdefault(len(l) - len(r), {})[(l, r)] = c
-    return not any(_expand_table(part, n) for part in grades.values())
-
-
-def shuffled_leavitt(raw, n, rng):
-    """The Leavitt-basis table of a raw table in O_n, rewriting in an order
-    drawn from rng (O_inf, n = None, has no rewrite)."""
-    terms = {}
-    for key, c in raw.items():
-        _acc(terms, key, c)
+def shuffled_leavitt(table, n, rng):
+    """The Leavitt-basis form of a reference table in O_n, rewriting in an
+    order drawn from rng (O_inf, n = None, has no rewrite)."""
+    terms = reference.add({}, table)
     if n is None:
         return terms
     while True:
@@ -92,9 +67,27 @@ def shuffled_leavitt(raw, n, rng):
             return terms
         l, r = rng.choice(due)
         c = terms.pop((l, r))
-        _acc(terms, (l[:-1], r[:-1]), c)
+        rewrite = {(l[:-1], r[:-1]): c}
         for i in range(1, n):
-            _acc(terms, (l[:-1] + (i,), r[:-1] + (i,)), -c)
+            rewrite[l[:-1] + (i,), r[:-1] + (i,)] = (-c[0], -c[1])
+        terms = reference.add(terms, rewrite)
+
+
+def brute_in_L(n, w):
+    """Membership in the semigroup generated by blocks 1, 21, ..., 2^(n-1)1, 2^n."""
+    blocks = [tuple([2] * k + [1]) for k in range(n)] + [(2,) * n]
+    ok = {(): True}
+
+    def rec(u):
+        if u in ok:
+            return ok[u]
+        res = any(
+            u[-len(b):] == b and rec(u[: -len(b)]) for b in blocks if len(b) <= len(u)
+        )
+        ok[u] = res
+        return res
+
+    return w != () and rec(tuple(w))
 
 
 def _split_ln(n, w):

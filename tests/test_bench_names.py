@@ -1,23 +1,15 @@
 """The benchmark in bench/ patches, imports and reads cuntzlim by name, so a
 renamed or deleted name would break `bench/run.py --trace 1` or
 `bench/selftest.py` without failing any library test.  These checks read
-bench/ and look every such name up."""
+bench/ and look every such name up, and hold bench/reference.py, which
+tier-1 also checks the library against, to importing none of them."""
 import ast
 import importlib
-import importlib.util
 import inspect
-import pathlib
 
 from cuntzlim import AlgebraTag, GaussianRational, GenHom
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from conftest import BENCH, load_bench
 
 
 def _cuntzlim_imports(tree):
@@ -30,7 +22,7 @@ def _cuntzlim_imports(tree):
 
 
 def test_traced_functions_exist():
-    tracing = _load("tracing")
+    tracing = load_bench("tracing")
     for _, modname, attr in tracing.FUNCTIONS:
         mod = importlib.import_module("cuntzlim." + modname)
         assert callable(getattr(mod, attr, None)), (modname, attr)
@@ -111,3 +103,10 @@ def test_bench_attribute_reads_exist(monkeypatch):
 
     monkeypatch.delattr(limits, "apply")
     assert ("selftest.py", "cuntzlim.limits", "apply") in _missing_attribute_chains()
+
+
+def test_reference_imports_nothing_from_cuntzlim():
+    # tier-1 and the calculus workload check the library against
+    # bench/reference.py, so it must share no code with the library
+    tree = ast.parse((BENCH / "reference.py").read_text())
+    assert _cuntzlim_imports(tree) == [] and _module_names(tree) == {}

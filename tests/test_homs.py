@@ -607,12 +607,6 @@ WORD_HOMS = ([f_inf(n) for n in range(1, 7)]
 INF_LETTERS = 20
 
 
-def _by_products(h):
-    """The same generator images behind an Element rule, so apply multiplies
-    them out, each term from its first image."""
-    return GenHom(h.domain, h.codomain, h.image)
-
-
 def _letters(h):
     return h.domain.ngens or INF_LETTERS
 
@@ -650,7 +644,7 @@ def test_word_apply_equals_multiply_chain(case):
     h, e = case
     assert isinstance(h, WordHom)
     with mock.patch.object(homs, "multiply", wraps=homs.multiply) as products:
-        by_products = apply(_by_products(h), e)
+        by_products = apply(uncoded(h), e)
     assert products.call_count == sum(max(len(l) + len(r) - 1, 0) for l, r in e.terms)
     assert apply(h, e) == by_products
 
@@ -667,7 +661,7 @@ def test_word_apply_rewrites_and_combines():
     both = e + mono(O(4), (1,), (3,))
     assert apply(h, both) == mono(O(2), (1,), (2,))
     for x in (e, both):
-        assert apply(h, x) == apply(_by_products(h), x)
+        assert apply(h, x) == apply(uncoded(h), x)
 
 
 def test_word_homs_apply_without_products(monkeypatch):
@@ -678,14 +672,14 @@ def test_word_homs_apply_without_products(monkeypatch):
     for h in WORD_HOMS:
         k = _letters(h)
         e = mono(h.domain, (1, k, 2), (k, k), GaussianRational(1, 2)) + unit(h.domain)
-        cases.append((h, e, apply(_by_products(h), e)))
+        cases.append((h, e, apply(uncoded(h), e)))
     monkeypatch.setattr(homs, "multiply", refuse)
     monkeypatch.setattr(homs, "adjoint", refuse)
     for h, e, want in cases:
         assert apply(h, e) == want
     # a term of two letters takes one product; one letter takes none
     with pytest.raises(AssertionError, match="by products"):
-        apply(_by_products(f(1, 2)), mono(O(3), (1, 2)))
+        apply(uncoded(f(1, 2)), mono(O(3), (1, 2)))
     # generator 65536 of O_inf goes to s2^65535 s1 under f_inf(1)
     fam = psi(Chain((1, 2)), gen(O_INF, 65536))
     ((first, right),) = fam.entries[0].terms

@@ -38,8 +38,8 @@ from cuntzlim import algebra, homs, verify
 from cuntzlim.scalars import ZERO
 from cuntzlim.verify import Refuted, verify_decomposition, verify_psi
 
-from oracle import classify_raw, coherent_all_pairs, decompose_by_monomial
-from test_homs import _by_products
+from conftest import uncoded
+from oracle import brute_in_L, classify_raw, coherent_all_pairs, decompose_by_monomial
 
 O2 = O(2)
 
@@ -47,23 +47,6 @@ O2 = O(2)
 def all_words(max_len, min_len=1):
     for length in range(min_len, max_len + 1):
         yield from itertools.product((1, 2), repeat=length)
-
-
-def brute_in_L(n, w):
-    """Membership in the semigroup generated by blocks 1, 21, ..., 2^(n-1)1, 2^n."""
-    blocks = [tuple([2] * k + [1]) for k in range(n)] + [(2,) * n]
-    ok = {(): True}
-
-    def rec(u):
-        if u in ok:
-            return ok[u]
-        res = any(
-            u[-len(b):] == b and rec(u[: -len(b)]) for b in blocks if len(b) <= len(u)
-        )
-        ok[u] = res
-        return res
-
-    return w != () and rec(tuple(w))
 
 
 def test_semigroup_membership_examples():
@@ -500,7 +483,7 @@ def test_coherence_is_decided_without_products(monkeypatch):
     assert all(check_coherent(fam) for fam in families)
     verify_psi(Chain((1, 2)), gen(O_INF, 65536))
     with pytest.raises(AssertionError, match="by products"):
-        apply(_by_products(f(1, 2)), mono(O(3), (1, 2)))
+        apply(uncoded(f(1, 2)), mono(O(3), (1, 2)))
 
 
 def test_psi_and_coherence_run_no_constructor(monkeypatch, rng):

@@ -652,12 +652,21 @@ def test_cli_coefficients_past_the_digit_limit(capsys):
     assert out.startswith("not equal") and limit in out and err == ""
     assert main(["equals", "--algebra", "O2", big, big]) == 0
     assert capsys.readouterr().out == "equal\n"
+    # a generator index or an integer argument of 5000 digits got the
+    # interpreter's advice as well
+    sevens = "7" * 5000
     for argv in (("normalize", "--algebra", "O2", big),
                  ("hom", "apply", "--family", "finf", "--args", "1", big),
-                 ("normalize", "--algebra", "O2", "7" * 5000)):
+                 ("normalize", "--algebra", "O2", sevens),
+                 ("normalize", "--algebra", "Oinf", "s" + sevens),
+                 ("partition", "--chain", "1," + sevens),
+                 ("hom", "apply", "--family", "finf", "--args", sevens, "s1"),
+                 ("verify", "psi", "--chain", "1," + sevens, "--expr", "s1")):
         assert main(list(argv)) == 2
         out, err = capsys.readouterr()
         assert out == "" and limit in err and "set_int_max_str_digits" not in err, argv
+    assert main(["normalize", "--algebra", "Oinf", "s1 + s" + sevens]) == 2
+    assert capsys.readouterr().err == "error: generator index of %s (at position 5)\n" % limit
 
 
 def test_cli_huge_image_words_exit_2():

@@ -17,20 +17,20 @@ from cuntzlim import (
 from cuntzlim.algebra import Element, adjoint, multiply
 
 from conftest import random_element, random_scalar, random_table, random_word
-from oracle import expansion_equal, shuffled_leavitt
+from oracle import pairs, reference, shuffled_leavitt
 
 TAGS = [O(2), O(3), O(4), O_INF]
 
 
 def test_normal_form_confluence_under_randomized_order(rng):
     # the Leavitt rewrite in a shuffled order reaches the constructor's table,
-    # and that table is the raw one's value by the expansion oracle
+    # and that table is the raw one's value by the reference's expansion
     for _ in range(300):
         tag = rng.choice(TAGS[:3])
         raw = random_table(rng, tag)
         canon = Element(tag, raw).terms
-        assert shuffled_leavitt(raw, tag.ngens, rng) == canon
-        assert expansion_equal(raw, canon, tag.ngens)
+        assert shuffled_leavitt(pairs(raw), tag.ngens, rng) == pairs(canon)
+        assert reference.equal(pairs(raw), pairs(canon), tag.ngens)
 
 
 def test_normalize_idempotent(rng):
@@ -121,11 +121,18 @@ def _oracle_pairs(rng, tag):
 
 
 def test_structural_equals_agrees_with_expansion_oracle(rng):
+    # equals, and each pair's product, sum and adjoint, against the
+    # reference, which computes with Fraction pairs and no cuntzlim code
     for _ in range(150):
         for tag in TAGS:
             for a, b, want in _oracle_pairs(rng, tag):
+                ra, rb = pairs(a.terms), pairs(b.terms)
+                for got, ref in ((multiply(a, b), reference.multiply(ra, rb)),
+                                 (a + b, reference.add(ra, rb)),
+                                 (adjoint(a), reference.adjoint(ra))):
+                    assert reference.equal(pairs(got.terms), ref, tag.ngens)
                 verdict = equals(a, b)
-                assert verdict == expansion_equal(a.terms, b.terms, tag.ngens)
+                assert verdict == reference.equal(ra, rb, tag.ngens)
                 assert verdict == (a == b) and (not verdict or hash(a) == hash(b))
                 if want is not None:
                     assert verdict == want
