@@ -41,25 +41,32 @@ def _tag(text: str) -> AlgebraTag:
     raise argparse.ArgumentTypeError("algebra must be O<k> (k>=2) or Oinf")
 
 
+class _TooLong(argparse.ArgumentTypeError, ValueError):
+    """An integer past the interpreter's digit limit: an argparse type error
+    for an option and a ValueError, which main prints, for a command."""
+
+
 def _int(text: str) -> int:
     """The integer that text spells in ASCII: surrounding spaces, an optional
     '-', then digits 0-9, the rule _tag applies.  int() alone would also
     read other Unicode digits and '_' separators.  A number past the
-    interpreter's digit limit raises ValueError, which a command prints and
-    an argparse type reports as an invalid value."""
+    interpreter's digit limit raises _TooLong, which argparse prints as it
+    is and _ints passes on, with no digits echoed."""
     t = text.strip()
     if re.fullmatch("-?[0-9]+", t) is None:
         raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
     try:
         return int(t)
     except ValueError:
-        raise ValueError("integer of more than %d digits"
-                         % sys.get_int_max_str_digits()) from None
+        raise _TooLong("integer of more than %d digits"
+                       % sys.get_int_max_str_digits()) from None
 
 
 def _ints(text: str) -> List[int]:
     try:
         return [_int(x) for x in text.split(",") if x.strip()]
+    except _TooLong:
+        raise
     except argparse.ArgumentTypeError:
         raise ValueError("expected comma-separated integers, got %r" % text) from None
 

@@ -3,9 +3,12 @@ of L_n in {1, 2}*, the state fixing the first generator, and the direct-sum
 decomposition Q_n = Q_inf + V_n + V_n* of O_2.  psi builds each entry's
 term table from f_inf's comb words, which need no Leavitt rewrite, and
 check_coherent decodes through f's comb code.  A word in L_n or empty is
-x 2^p with x empty or ending in 1 and n | p: _split_ln reads the trailing
-2-run, raw letters go through O_2's word check, and decompose_element sorts
-the terms of a canonical element into the three parts by their 2-runs."""
+x 2^p with x empty or ending in 1 and n | p: _two_run is the one reader of
+the trailing 2-run, and raw letters go through O_2's word check.  A word
+that ends in 1, and the empty word, is in L_n for every n, and a canonical
+O_2 term never has both words ending in 2, so decompose_element sorts the
+terms of a canonical element into the three parts by their last letters and
+reads a 2-run only for the one word of a term that ends in 2."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -90,28 +93,28 @@ def psi(chain: Chain, x: Element) -> CoherentFamily:
 # word combinatorics over {1, 2}
 # ---------------------------------------------------------------------------
 
-def _split_ln(n: int, w: Word) -> Tuple[Word, int]:
-    """w as x + (2,)*(a*n) with x empty or ending in 1, read off its
-    trailing 2-run; ValueError if n does not divide the run's length.  The
-    letters of w are checked by the caller."""
+def _two_run(n: int, w: Word) -> int:
+    """The block count a of w = x 2^(an), x empty or ending in 1, read off
+    w's trailing 2-run; ValueError if n does not divide the run's length.
+    The letters of w are checked by the caller."""
     i = len(w)
     while i and w[i - 1] == 2:
         i -= 1
     t = len(w) - i
     if t % n:
         raise ValueError("word %r is not in L_%d" % (w, n))
-    return w[:i], t // n
+    return t // n
 
 
 def in_K(n: int, w: Word) -> bool:
-    """w = (2^n)^k for some k >= 1: a word of L_n that is its 2-run."""
-    return in_L(n, w) and not _split_ln(n, w)[0]
+    """w = (2^n)^k for some k >= 1: a word of L_n with no letter 1."""
+    return in_L(n, w) and 1 not in w
 
 
 def in_L_inf(w: Word) -> bool:
     """Words ending in the letter 1 (products of blocks 2^m 1)."""
     O2.check_word(w)
-    return len(w) > 0 and _split_ln(1, w)[1] == 0
+    return len(w) > 0 and w[-1] == 1
 
 
 def in_L(n: int, w: Word) -> bool:
@@ -121,7 +124,7 @@ def in_L(n: int, w: Word) -> bool:
     check_int("n", n, 1, ValueError)
     O2.check_word(w)
     try:
-        _split_ln(n, w)
+        _two_run(n, w)
     except ValueError:
         return False
     return len(w) > 0
@@ -136,8 +139,8 @@ def decompose_word(n: int, w: Word) -> Tuple[str, Optional[Tuple[Word, Word]]]:
     O2.check_word(w)
     if not w:
         raise ValueError("word () is not in L_%d" % n)
-    x, a = _split_ln(n, w)
-    return ("Y", (x, w[len(x):])) if a else ("L_inf", None)
+    k = len(w) - _two_run(n, w) * n
+    return ("Y", (w[:k], w[k:])) if k < len(w) else ("L_inf", None)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def classify_monomial(n: int, left: Word, right: Word) -> Tuple[Element, Element
     left, right = tuple(left), tuple(right)
     for w in (left, right):
         O2.check_word(w)
-        _split_ln(n, w)
+        _two_run(n, w)
     return decompose_element(n, Element(O2, [((left, right), ONE)]))
 
 
@@ -162,8 +165,13 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     """Partition of the terms of e (words in L_n or empty) into its
     (Q_inf, V_n, V_n*) parts, one Element each; sums to e.  A term goes to
     V_n if its left word ends in 2, to V_n* if its right word does and to
-    Q_inf otherwise: a canonical O_2 term never has both words ending in 2,
-    so the right word is read only when the left one ends in 1 or is empty.
+    Q_inf otherwise.
+
+    Only a word that ends in 2 is read for membership in L_n: a word that
+    ends in 1, and the empty word, is in L_n for every n, and a canonical O_2
+    term never has both words ending in 2.  So a term costs one 2-run read
+    if a word ends in 2 and none otherwise, and the first term whose 2-run n
+    does not divide raises ValueError.
 
     Each part's table is taken as it is: a partition keeps every key and
     coefficient of e as they are, so a part's keys are canonical, distinct
@@ -171,12 +179,18 @@ def decompose_element(n: int, e: Element) -> Tuple[Element, Element, Element]:
     if e.tag != O2:
         raise AlgebraError("decomposition lives in O_2")
     check_int("n", n, 1, ValueError)
-    parts = ({}, {}, {})
+    q, v, vs = {}, {}, {}
     for key, c in e.terms.items():
         l, r = key
-        k = 1 if _split_ln(n, l)[1] else 2 if _split_ln(n, r)[1] else 0
-        parts[k][key] = c
-    return tuple(_trusted(O2, table) for table in parts)
+        if l and l[-1] == 2:
+            _two_run(n, l)
+            v[key] = c
+        elif r and r[-1] == 2:
+            _two_run(n, r)
+            vs[key] = c
+        else:
+            q[key] = c
+    return _trusted(O2, q), _trusted(O2, v), _trusted(O2, vs)
 
 
 # ---------------------------------------------------------------------------

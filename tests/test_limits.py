@@ -34,7 +34,7 @@ from cuntzlim import (
     unit,
     zero,
 )
-from cuntzlim import algebra, homs, verify
+from cuntzlim import algebra, homs, limits, verify
 from cuntzlim.scalars import ZERO
 from cuntzlim.verify import Refuted, verify_decomposition, verify_psi
 
@@ -253,6 +253,45 @@ def test_decompose_element_negates_no_coefficient(rng, monkeypatch):
     for n, e in cases:
         decompose_element(n, e)
     assert calls == []
+
+
+def test_decompose_element_reads_a_run_only_for_words_ending_in_2(rng, monkeypatch):
+    # a word that ends in 1 or is empty is in every L_n and a canonical term
+    # has at most one word ending in 2, so that word is the only one read
+    cases = []
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        words = [w for w in all_words(6, min_len=0) if w == () or in_L(n, w)]
+        cases.append((n, _random_decomposable(rng, n, words)[0]))
+    read = []
+    two_run = limits._two_run
+    monkeypatch.setattr(limits, "_two_run", lambda n, w: read.append(w) or two_run(n, w))
+    for n, e in cases:
+        decompose_element(n, e)
+    ending_in_2 = [w for _, e in cases for key in e.terms for w in key if w[-1:] == (2,)]
+    assert read == ending_in_2 and len(read) < sum(len(e.terms) for _, e in cases)
+
+
+_O2_WORD = st.lists(st.integers(1, 2), max_size=6).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.tuples(_O2_WORD, _O2_WORD),
+                          st.fractions(-2, 2, max_denominator=3)), max_size=4))
+def test_decompose_element_refuses_as_the_monomial_reference(n, pairs):
+    # raw tables whose words may leave L_n, made canonical by Element: the
+    # partition refuses exactly the elements the raw-word classifier refuses,
+    # naming the same word, and otherwise returns its parts
+    e = Element(O2, pairs)
+    try:
+        want = decompose_by_monomial(n, e)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            decompose_element(n, e)
+        assert str(got.value) == str(exc)
+    else:
+        assert decompose_element(n, e) == want
 
 
 def _doubled_sibling_normalize(e):

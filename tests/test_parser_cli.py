@@ -667,6 +667,16 @@ def test_cli_coefficients_past_the_digit_limit(capsys):
         assert out == "" and limit in err and "set_int_max_str_digits" not in err, argv
     assert main(["normalize", "--algebra", "Oinf", "s1 + s" + sevens]) == 2
     assert capsys.readouterr().err == "error: generator index of %s (at position 5)\n" % limit
+    # an integer option got argparse's "invalid _int value" with all 5000
+    # digits echoed
+    for argv in (("verify", "inverse-system", "--max", sevens),
+                 ("verify", "decomposition", "--n", "1", "--max-len", sevens)):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", argv
+        assert "error: argument %s: integer of %s\n" % (argv[-2], limit) in err, argv
+        assert len(err) < 300, argv
 
 
 def test_cli_huge_image_words_exit_2():
